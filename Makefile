@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint cover test race chaos crashpoints bench bench-commit bench-check bench-apply bench-apply-check bench-recover bench-recover-check bench-store bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
+.PHONY: all build vet lint cover test race chaos crashpoints lbcload-smoke bench bench-commit bench-check bench-apply bench-apply-check bench-recover bench-recover-check bench-store bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
 
 # Total coverage floor enforced by `make cover` (CI's coverage job).
 COVER_MIN ?= 70
@@ -51,6 +51,13 @@ CRASHPOINT_SEED  ?= 42
 CRASHPOINT_RUNS  ?= 3
 crashpoints:
 	$(GO) run ./cmd/chaosrun -crashpoints -seed $(CRASHPOINT_SEED) -runs $(CRASHPOINT_RUNS)
+
+# cmd/lbcload is a module of its own, so `go test ./...` here never
+# reaches it. Its tests run every benchmark workload for a second with
+# all correctness checks on: a program change that breaks one fails here
+# rather than in the benchmark gate.
+lbcload-smoke:
+	$(GO) vet -C cmd/lbcload ./... && $(GO) test -C cmd/lbcload ./...
 
 # Full benchmark sweep (every table and figure + ablations).
 bench:

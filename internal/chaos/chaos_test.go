@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lbc/internal/netproto"
+	"lbc/internal/rvm"
 	"lbc/internal/wal"
 )
 
@@ -162,6 +163,64 @@ func TestFaultyDeviceDeterministicFailures(t *testing.T) {
 	}
 	if fails == 0 {
 		t.Fatal("no storage faults fired at StoreFailProb 0.3")
+	}
+}
+
+// countingStore is an rvm.PageStore that counts which write path a
+// wrapper took.
+type countingStore struct {
+	*rvm.MemStore
+	pageWrites, imageWrites int
+}
+
+func (c *countingStore) StorePages(id uint32, pages []rvm.PageWrite) error {
+	c.pageWrites++
+	return c.MemStore.StorePages(id, pages)
+}
+
+func (c *countingStore) StoreRegion(id uint32, data []byte) error {
+	c.imageWrites++
+	return c.MemStore.StoreRegion(id, data)
+}
+
+// TestFaultyStoreKeepsThePageWritePath: wrapping a store for fault
+// injection must not change how a checkpoint sweeps it. Page writes
+// reach a page-capable inner store as page writes (never as a rewrite of
+// the image), an injected fault fires before the inner write, and an
+// inner store without page writes still gets the whole-image path.
+func TestFaultyStoreKeepsThePageWritePath(t *testing.T) {
+	inner := &countingStore{MemStore: rvm.NewMemStore()}
+	fs := WrapDataStore(inner, New(Config{Seed: 5}), "n1")
+	if err := fs.StorePage(1, 8, []byte("page")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.StorePages(1, []rvm.PageWrite{{Off: 0, Data: []byte("vec")}, {Off: 16, Data: []byte("tor")}}); err != nil {
+		t.Fatal(err)
+	}
+	if inner.pageWrites != 2 || inner.imageWrites != 0 {
+		t.Fatalf("inner saw %d page writes and %d image rewrites, want 2 and 0", inner.pageWrites, inner.imageWrites)
+	}
+	if img, _ := inner.LoadRegion(1); string(img) != "vec\x00\x00\x00\x00\x00page\x00\x00\x00\x00tor" {
+		t.Fatalf("image = %q", img)
+	}
+
+	failing := WrapDataStore(inner, New(Config{Seed: 5, StoreFailProb: 1}), "n1")
+	if err := failing.StorePages(1, []rvm.PageWrite{{Off: 0, Data: []byte("lost")}}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("StorePages at StoreFailProb 1: %v", err)
+	}
+	if inner.pageWrites != 2 {
+		t.Fatal("an injected fault reached the inner store")
+	}
+
+	// DataStore alone: the wrapper falls back exactly as the checkpointer
+	// would on the bare store.
+	var bare struct{ rvm.DataStore }
+	bare.DataStore = rvm.NewMemStore()
+	if err := WrapDataStore(bare, New(Config{Seed: 5}), "n2").StorePage(2, 4, []byte("rmw")); err != nil {
+		t.Fatal(err)
+	}
+	if img, _ := bare.LoadRegion(2); string(img) != "\x00\x00\x00\x00rmw" {
+		t.Fatalf("image = %q", img)
 	}
 }
 

@@ -49,7 +49,10 @@ type FaultyStore struct {
 	rng   *rand.Rand
 }
 
-var _ rvm.DataStore = (*FaultyStore)(nil)
+var (
+	_ rvm.DataStore = (*FaultyStore)(nil)
+	_ rvm.PageStore = (*FaultyStore)(nil)
+)
 
 // WrapDataStore attaches the injector to a data store. name keys the
 // fault stream — use one name per node so streams are independent.
@@ -71,6 +74,22 @@ func (f *FaultyStore) StoreRegion(id uint32, data []byte) error {
 		return err
 	}
 	return f.inner.StoreRegion(id, data)
+}
+
+// StorePage implements rvm.PageStore: a batch of one.
+func (f *FaultyStore) StorePage(id uint32, off int64, data []byte) error {
+	return f.StorePages(id, []rvm.PageWrite{{Off: off, Data: data}})
+}
+
+// StorePages implements rvm.PageStore, so a checkpoint under fault
+// injection sweeps the way it does without: an inner store that writes
+// pages in place still does, and one that cannot still gets the
+// whole-image rewrite.
+func (f *FaultyStore) StorePages(id uint32, pages []rvm.PageWrite) error {
+	if err := f.in.storeFault(f.rng, "StorePages"); err != nil {
+		return err
+	}
+	return rvm.StorePages(f.inner, id, pages)
 }
 
 // Regions implements rvm.DataStore.

@@ -10,6 +10,7 @@ import (
 
 	"lbc/internal/metrics"
 	"lbc/internal/netproto"
+	"lbc/internal/obs"
 	"lbc/internal/rvm"
 )
 
@@ -19,18 +20,20 @@ import (
 // done to inform them of their new log head."
 //
 // The sweep is fuzzy and incremental (rvm.IncrementalCheckpointer): the
-// coordinator copies each registered segment to the permanent store
-// while holding only that segment's lock — the acquire interlock
-// guarantees the local image reflects every committed update to the
-// segment, and the lock excludes concurrent writers from the bytes
-// being copied — so commits under other locks proceed throughout the
-// bulk of the image write. Only a short final step quiesces all locks:
-// it sweeps the ranges no registered segment covers, re-copies pages
-// dirtied by commits that raced the sweep, forces the store, and
-// appends a durable checkpoint marker carrying the cut-point LSN. The
-// quiesce is then released — the remaining steps are pure log
-// maintenance — and after a sync round that drains every lazy
-// consumer, the coordinator trims its own log head online and peers
+// coordinator copies each registered segment while holding only that
+// segment's lock — the acquire interlock guarantees the local image
+// reflects every committed update to the segment, and the lock excludes
+// concurrent writers from the bytes being copied — and a single
+// in-order writer ships the copies to the permanent store behind it in
+// vectored batches, so commits under other locks proceed throughout the
+// image write and no lock is held across a store round trip. Only a
+// short final step quiesces all locks: it writes the ranges no
+// registered segment covers and the pages dirtied by commits that raced
+// the sweep (one vectored write), forces the store, and appends a
+// durable checkpoint marker carrying the cut-point LSN. The quiesce is
+// then released — the remaining steps are pure log maintenance — and
+// after a sync round that drains every node that reads the server-side
+// logs, the coordinator trims its own log head online and peers
 // trim theirs to the cut they recorded when the checkpoint began
 // (every record below that cut committed — and was therefore applied
 // at the coordinator under the relevant lock — before any page was
@@ -50,8 +53,8 @@ import (
 //	BeginAck{epoch}   peer -> coordinator    end (the cut candidate) and ack
 //	    ... fuzzy per-lock sweep, concurrent with commits ...
 //	    ... quiesce: remainder sweep, dirty resweep, marker; release ...
-//	Sync{epoch}       coordinator -> peers   every node drains the server
-//	SyncAck{epoch}    peer -> coordinator    logs it reads lazily, then acks
+//	Sync{epoch}       coordinator -> peers   a node that reads the server logs
+//	SyncAck{epoch}    peer -> coordinator    drains them; every node acks
 //	Checkpoint{epoch, lsn}  coordinator -> peers   trim to recorded cut
 //	CheckpointAck{epoch}    peer -> coordinator
 //
@@ -133,6 +136,8 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	// guaranteed to observe it (interlock) — which is what makes the cut
 	// safe to trim. Logical cuts stay valid even if another coordinator
 	// trims the peer's log before our Checkpoint message arrives.
+	traced := n.trace.Enabled()
+	endBegin := n.ckptSpan(traced, epoch, obs.SpanCkptBegin)
 	var beginMsg [8]byte
 	binary.LittleEndian.PutUint64(beginMsg[:], epoch)
 	if len(peers) > 0 {
@@ -140,13 +145,14 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 			return fmt.Errorf("coherency: checkpoint begin: %w", err)
 		}
 	}
+	endBegin(0, int64(len(peers)))
 
 	ckpt := n.rvm.NewIncrementalCheckpointer(n.pageSize)
 	if err := ckpt.BeginConcurrent(); err != nil {
 		return fmt.Errorf("coherency: checkpoint begin sweep: %w", err)
 	}
-	// Abandon dirty tracking on any error path (no-op after a
-	// successful FinishQuiesced).
+	// Abandon dirty tracking and stop the sweep's writer on any error
+	// path (no-op after a successful FinishQuiesced).
 	defer ckpt.AbortConcurrent()
 
 	// Ordered acquisition avoids deadlock against a concurrent
@@ -155,7 +161,11 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
 	// Phase 2: fuzzy sweep — copy each registered segment while holding
-	// only its lock. Commits under the other locks proceed concurrently.
+	// only its lock, and only for the copy: the checkpointer's writer
+	// stores the copies behind us in batches. Commits under the other
+	// locks proceed concurrently.
+	endSweep := n.ckptSpan(traced, epoch, obs.SpanCkptSweep)
+	var swept int64
 	for _, id := range sorted {
 		n.mu.Lock()
 		seg, ok := n.segments[id]
@@ -163,6 +173,7 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 		if !ok {
 			continue // no registered scope: swept under the quiesce below
 		}
+		endLock := n.ckptSpan(traced, epoch, obs.SpanCkptSweepLock)
 		tx := n.Begin(rvm.NoRestore)
 		err := tx.Acquire(id)
 		if err == nil {
@@ -174,11 +185,20 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 		if err != nil {
 			return fmt.Errorf("coherency: checkpoint sweep lock %d: %w", id, err)
 		}
+		endLock(id, int64(seg.Len))
+		swept += int64(seg.Len)
 	}
+	// Everything copied so far reaches the store before any lock is
+	// retaken, so the quiesce below writes only what raced the sweep.
+	if err := ckpt.Drain(); err != nil {
+		return fmt.Errorf("coherency: checkpoint sweep write: %w", err)
+	}
+	endSweep(0, swept)
 
 	// Phase 3: seal under a full quiesce. The abort is registered
 	// *before* the acquire loop so a failed acquire releases the locks
 	// taken by earlier iterations (a mid-loop return used to leak them).
+	quiesceStart := time.Now()
 	qtx := n.Begin(rvm.NoRestore)
 	defer qtx.Abort()
 	for _, id := range sorted {
@@ -186,6 +206,7 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 			return fmt.Errorf("coherency: checkpoint acquire lock %d: %w", id, err)
 		}
 	}
+	endSeal := n.ckptSpan(traced, epoch, obs.SpanCkptSeal)
 	// Bytes no registered segment covers were not swept under a lock;
 	// copy them now that all writers are excluded. (With no registered
 	// segments this degenerates to the full stop-the-world image write.)
@@ -194,8 +215,10 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 			return fmt.Errorf("coherency: checkpoint remainder sweep: %w", err)
 		}
 	}
-	// Re-copy pages dirtied by commits that raced the per-lock sweeps.
-	if _, err := ckpt.ResweepDirty(); err != nil {
+	// Re-copy pages dirtied by commits that raced the per-lock sweeps;
+	// they and the remainder above go out as one vectored write.
+	resweeped, err := ckpt.ResweepDirty()
+	if err != nil {
 		return fmt.Errorf("coherency: checkpoint resweep: %w", err)
 	}
 	// Force the images, append + sync the durable marker. If we crash
@@ -205,21 +228,29 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	if err != nil {
 		return fmt.Errorf("coherency: checkpoint finish: %w", err)
 	}
+	endSeal(0, int64(resweeped))
 	// The marker is durable and cut is a stable logical offset: the
 	// locks are no longer needed. Release the quiesce before the network
 	// rounds below, so a slow or dead peer stalls only this checkpoint —
 	// not every commit in the cluster for the full caller timeout. (The
 	// deferred Abort above remains as a no-op backstop for error paths.)
 	_ = qtx.Abort()
+	quiesce := time.Since(quiesceStart)
+	n.stats.Add(metrics.CtrCkptQuiesceNS, quiesce.Nanoseconds())
+	if traced {
+		n.emitCkptSpan(obs.SpanCkptQuiesce, epoch, 0, quiesceStart, int64(len(sorted)))
+	}
 
 	// Phase 4: drain lazy consumers. Head trims move byte offsets under
 	// every reader of these logs and delete records a lagging node may
-	// not have pulled yet, so each node — this one included — drains
-	// every server-side log it reads before any head moves. A node that
-	// cannot drain withholds its ack and the checkpoint aborts without
-	// trimming anything; a later attempt retries. Non-lazy
-	// configurations ack immediately (the Begin-cut interlock argument
-	// already covers applied state there).
+	// not have pulled yet, so each node that reads them — this one
+	// included — drains every server-side log before any head moves. A
+	// node that cannot drain withholds its ack and the checkpoint aborts
+	// without trimming anything; a later attempt retries. A node that
+	// never reads the server-side logs (eager propagation without the
+	// pull backstop) has nothing to drain and acks immediately: the
+	// Begin-cut interlock argument already covers its applied state.
+	endSync := n.ckptSpan(traced, epoch, obs.SpanCkptSync)
 	if err := n.drainPeerLogs(); err != nil {
 		return fmt.Errorf("coherency: checkpoint drain: %w", err)
 	}
@@ -228,12 +259,14 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 			return fmt.Errorf("coherency: checkpoint sync: %w", err)
 		}
 	}
+	endSync(0, int64(len(peers)))
 
 	// Trim our own log head past the marker: every record below it is in
 	// the permanent images, and every lazy reader is past it after the
 	// sync round. Commits racing the trim land above the cut and
 	// survive; devices without an atomic HeadTrimmer rewrite safely
 	// under rvm's log latch, so no quiesce is needed here.
+	endTrim := n.ckptSpan(traced, epoch, obs.SpanCkptTrim)
 	if err := n.rvm.TrimLogHeadLogical(cut); err != nil {
 		return fmt.Errorf("coherency: checkpoint trim: %w", err)
 	}
@@ -247,7 +280,32 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 			return fmt.Errorf("coherency: checkpoint commit: %w", err)
 		}
 	}
+	endTrim(0, cut)
 	return nil
+}
+
+// noSpan is what ckptSpan returns with tracing off.
+var noSpan = func(uint32, int64) {}
+
+// ckptSpan starts timing one phase of the checkpoint this node
+// coordinates; calling the result emits the span, stamped with the
+// coordinator's id and the checkpoint epoch. With tracing off neither
+// end reads the clock.
+func (n *Node) ckptSpan(traced bool, epoch uint64, name string) func(lock uint32, count int64) {
+	if !traced {
+		return noSpan
+	}
+	start := time.Now()
+	return func(lock uint32, count int64) { n.emitCkptSpan(name, epoch, lock, start, count) }
+}
+
+// emitCkptSpan records one checkpoint span that began at start and ends
+// now.
+func (n *Node) emitCkptSpan(name string, epoch uint64, lock uint32, start time.Time, count int64) {
+	n.trace.Emit(obs.Span{
+		Name: name, Node: uint32(n.tr.Self()), Tx: epoch, Lock: lock,
+		Start: start.UnixNano(), Dur: time.Since(start).Nanoseconds(), N: count,
+	})
 }
 
 // ckptRound broadcasts one checkpoint protocol message and waits for

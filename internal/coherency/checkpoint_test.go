@@ -144,3 +144,22 @@ func TestCheckpointDoesNotDisturbCoherency(t *testing.T) {
 	}
 	_ = metrics.CtrTxCommitted
 }
+
+// BenchmarkCkptSpanDisabled prices one checkpoint span site (start +
+// end) with tracing off: the per-lock site in the sweep loop must stay a
+// few nanoseconds and never read the clock or allocate.
+func BenchmarkCkptSpanDisabled(b *testing.B) {
+	hub := netproto.NewHub()
+	r, _ := rvm.Open(rvm.Options{Node: 1})
+	n, err := New(Options{RVM: r, Transport: hub.Endpoint(1), Nodes: []netproto.NodeID{1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	traced := n.trace.Enabled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.ckptSpan(traced, 1, "ckpt.sweep.lock")(uint32(i), 4096)
+	}
+}

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"lbc/internal/chaos"
 	"lbc/internal/lockmgr"
+	"lbc/internal/merge"
 	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/rvm"
+	"lbc/internal/store"
 	"lbc/internal/wal"
 )
 
@@ -107,7 +111,7 @@ func TestCheckpointFailureReleasesLocks(t *testing.T) {
 	}
 }
 
-// gatedStore wraps a MemStore and blocks the first StorePage call until
+// gatedStore wraps a MemStore and blocks the first StorePages call until
 // released, signalling when the block is reached. It lets a test hold a
 // checkpoint mid-sweep deterministically.
 type gatedStore struct {
@@ -125,12 +129,12 @@ func newGatedStore() *gatedStore {
 	}
 }
 
-func (g *gatedStore) StorePage(id uint32, off int64, data []byte) error {
+func (g *gatedStore) StorePages(id uint32, pages []rvm.PageWrite) error {
 	g.once.Do(func() {
 		close(g.reached)
 		<-g.release
 	})
-	return g.MemStore.StorePage(id, off, data)
+	return g.MemStore.StorePages(id, pages)
 }
 
 // TestCheckpointAllowsConcurrentCommits pins the tentpole property: the
@@ -149,8 +153,10 @@ func TestCheckpointAllowsConcurrentCommits(t *testing.T) {
 		ckptErr <- nodes[0].CoordinatedCheckpoint([]uint32{1, 2}, 10*time.Second)
 	}()
 
-	// The sweep is now blocked inside lock 1's segment copy, holding
-	// only lock 1. A commit under lock 2 must make progress.
+	// The sweep's writer is now blocked in its first store write, which
+	// happens behind the per-lock copies with no lock held. A commit
+	// under lock 2 must make progress, and — landing after lock 2's copy
+	// was taken — reach the image through the dirty resweep.
 	<-gs.reached
 	commitWrite(t, nodes[1], 2, 512, []byte("raced-the-sweep"))
 	close(gs.release)
@@ -159,8 +165,7 @@ func TestCheckpointAllowsConcurrentCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The coordinator's checkpointed image carries both writes (the
-	// raced one via the lock-2 sweep or the dirty resweep).
+	// The coordinator's checkpointed image carries both writes.
 	img, err := gs.LoadRegion(1)
 	if err != nil {
 		t.Fatal(err)
@@ -268,5 +273,201 @@ func TestCheckpointSegmentsTrimAndRecovery(t *testing.T) {
 	if string(img[0:10]) != "first-half" || string(img[512:523]) != "second-half" ||
 		string(img[800:809]) != "uncovered" {
 		t.Fatalf("image = %q / %q / %q", img[0:10], img[512:523], img[800:809])
+	}
+}
+
+// powerCutStore is a node's attachment to the storage server that loses
+// power after a set number of vectored page writes: the write that
+// reaches the count still lands, everything after it — page writes and
+// the force that precedes the marker — fails.
+type powerCutStore struct {
+	*store.Client
+	cutAfter int // 0: never
+	writes   int
+	dead     bool
+}
+
+var errPowerCut = errors.New("power cut")
+
+func (p *powerCutStore) StorePages(id uint32, pages []rvm.PageWrite) error {
+	if p.dead {
+		return errPowerCut
+	}
+	if err := p.Client.StorePages(id, pages); err != nil {
+		return err
+	}
+	p.writes++
+	p.dead = p.writes == p.cutAfter
+	return nil
+}
+
+func (p *powerCutStore) Sync() error {
+	if p.dead {
+		return errPowerCut
+	}
+	return p.Client.Sync()
+}
+
+// runPowerCutCheckpoint drives a three-node store-backed cluster through
+// a completed checkpoint (the previous recovery start point), a tail of
+// commits, and a second checkpoint whose coordinator loses power after
+// cutAfter page writes (0: it completes). It returns how many page
+// writes the second checkpoint issued. After a cut, the state a crash
+// leaves behind — the store's image with part of a sweep written over
+// it, no new marker, untrimmed log tails — must satisfy the three
+// harness invariants.
+func runPowerCutCheckpoint(t *testing.T, cutAfter int) int {
+	t.Helper()
+	const (
+		segs   = 10
+		segLen = 256 << 10
+		// The tail past the last segment is under no lock: the quiesced
+		// remainder sweep always has something to write.
+		size = segs*segLen + 8192
+	)
+	coord := &powerCutStore{}
+	nodes, srv := storeCluster(t, 3, size, storeClusterOpts{
+		data: func(i int, cli *store.Client) rvm.DataStore {
+			if i == 0 {
+				coord.Client = cli
+				return coord
+			}
+			return cli
+		},
+	})
+	var locks []uint32
+	for l := uint32(0); l < segs; l++ {
+		locks = append(locks, l)
+		for _, n := range nodes {
+			n.AddSegment(Segment{LockID: l, Region: 1, Off: uint64(l) * segLen, Len: segLen})
+		}
+	}
+	round := func(tag string) {
+		for l := uint32(0); l < segs; l++ {
+			n := nodes[int(l)%len(nodes)]
+			tx := n.Begin(rvm.NoRestore)
+			if err := tx.Acquire(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(region(t, n), uint64(l)*segLen+uint64(len(tag)), []byte(fmt.Sprintf("%s-%d", tag, l))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Commit(rvm.Flush); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	logs := func() []wal.Device {
+		var out []wal.Device
+		for _, n := range nodes {
+			out = append(out, n.RVM().Log())
+		}
+		return out
+	}
+
+	round("first")
+	history, err := chaos.ReadLogRecords(logs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[0].CoordinatedCheckpoint(locks, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	round("second-longer-tag")
+
+	coord.writes, coord.cutAfter = 0, cutAfter
+	err = nodes[0].CoordinatedCheckpoint(locks, 30*time.Second)
+	if cutAfter == 0 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord.writes
+	}
+	if !errors.Is(err, errPowerCut) {
+		t.Fatalf("checkpoint across a power cut after %d page writes: %v", cutAfter, err)
+	}
+	if coord.writes != cutAfter {
+		t.Fatalf("%d page writes landed, want %d", coord.writes, cutAfter)
+	}
+
+	// No marker, and the logs hold exactly the tail: recovery starts
+	// where the completed checkpoint left the log heads.
+	own, err := wal.ReadDevice(nodes[0].RVM().Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range own {
+		if rec.Checkpoint {
+			t.Fatal("a checkpoint marker was appended after the power cut")
+		}
+	}
+	if tail, err := chaos.ReadLogRecords(logs()...); err != nil || len(tail) != segs {
+		t.Fatalf("logs hold %d records (%v), want the %d-commit tail", len(tail), err, segs)
+	}
+
+	// 1. The survivors converge (the interlock makes each current).
+	images := map[uint32]map[uint32][]byte{}
+	for _, n := range nodes[1:] {
+		for _, l := range locks {
+			readUnder(t, n, l, 0, 1)
+		}
+		images[uint32(n.Self())] = map[uint32][]byte{1: append([]byte(nil), region(t, n).Bytes()...)}
+	}
+	if err := chaos.CheckConverged(images); err != nil {
+		t.Fatal(err)
+	}
+	want := images[2][1]
+
+	// 2. Lock chains are gap-free over everything ever logged: what the
+	// completed checkpoint trimmed plus what the logs hold now.
+	now, err := chaos.ReadLogRecords(logs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chaos.CheckLockChains(append(history, now...)); err != nil {
+		t.Fatal(err)
+	}
+
+	// 3. Merging the logs and recovering over the store's image — part
+	// of the interrupted sweep included — reproduces the converged image.
+	img, err := srv.Data().LoadRegion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rvm.NewMemStore()
+	if err := data.StoreRegion(1, img); err != nil {
+		t.Fatal(err)
+	}
+	merged := wal.NewMemDevice()
+	if _, err := merge.MergeTo(merged, logs()...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rvm.Recover(merged, data, rvm.RecoverOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := data.LoadRegion(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered image %016x, converged image %016x",
+			chaos.ImageChecksum(got), chaos.ImageChecksum(want))
+	}
+	return coord.writes
+}
+
+// TestPowerCutMidSweepOverStoreClient cuts the coordinator's power after
+// the first, a middle and the last vectored page write of a checkpoint
+// over the real store client — always before the marker — and requires
+// recovery from the previous start point to hold the three invariants.
+func TestPowerCutMidSweepOverStoreClient(t *testing.T) {
+	total := runPowerCutCheckpoint(t, 0)
+	if total < 3 {
+		t.Fatalf("the checkpoint issued %d page writes; the scenario needs a first, a middle and a last", total)
+	}
+	for _, k := range []int{1, (total + 1) / 2, total} {
+		t.Run(fmt.Sprintf("after-write-%d-of-%d", k, total), func(t *testing.T) {
+			runPowerCutCheckpoint(t, k)
+		})
 	}
 }

@@ -2,9 +2,13 @@ package coherency
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,11 +19,18 @@ import (
 	"lbc/internal/wal"
 )
 
-// lazyCluster builds k lazy-propagation nodes whose logs and database
-// live on a shared storage server, the configuration of §2.2 where
-// "segment updates could be fetched from the server, where all log
-// records are cached in memory for a time".
-func lazyCluster(t *testing.T, k int, size int) ([]*Node, *store.Server) {
+// storeClusterOpts varies storeCluster: the propagation policy, and
+// optional wrappers around a node's image store and around the peer-log
+// devices it reads (fault injection).
+type storeClusterOpts struct {
+	prop    Propagation
+	data    func(i int, cli *store.Client) rvm.DataStore
+	peerLog func(i int, dev wal.Device) wal.Device
+}
+
+// storeCluster builds k nodes whose logs and database live on a shared
+// storage server, each node attached through its own store client.
+func storeCluster(t *testing.T, k int, size int, o storeClusterOpts) ([]*Node, *store.Server) {
 	t.Helper()
 	srv, err := store.NewServer("127.0.0.1:0", store.ServerOptions{})
 	if err != nil {
@@ -39,10 +50,14 @@ func lazyCluster(t *testing.T, k int, size int) ([]*Node, *store.Server) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cli.Close() })
+		var data rvm.DataStore = cli
+		if o.data != nil {
+			data = o.data(i, cli)
+		}
 		r, err := rvm.Open(rvm.Options{
 			Node: uint32(ids[i]),
 			Log:  cli.LogDevice(uint32(ids[i])),
-			Data: cli,
+			Data: data,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -51,8 +66,14 @@ func lazyCluster(t *testing.T, k int, size int) ([]*Node, *store.Server) {
 			RVM:         r,
 			Transport:   hub.Endpoint(ids[i]),
 			Nodes:       ids,
-			Propagation: Lazy,
-			PeerLogs:    func(node uint32) wal.Device { return cli.LogDevice(node) },
+			Propagation: o.prop,
+			PeerLogs: func(node uint32) wal.Device {
+				dev := cli.LogDevice(node)
+				if o.peerLog != nil {
+					dev = o.peerLog(i, dev)
+				}
+				return dev
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,6 +92,14 @@ func lazyCluster(t *testing.T, k int, size int) ([]*Node, *store.Server) {
 		}
 	}
 	return nodes, srv
+}
+
+// lazyCluster is the configuration of §2.2 where "segment updates could
+// be fetched from the server, where all log records are cached in
+// memory for a time": k lazy-propagation nodes over a storage server.
+func lazyCluster(t *testing.T, k int, size int) ([]*Node, *store.Server) {
+	t.Helper()
+	return storeCluster(t, k, size, storeClusterOpts{prop: Lazy})
 }
 
 func TestLazyPropagation(t *testing.T) {
@@ -281,6 +310,70 @@ func TestCheckpointDrainsLazyReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := readUnder(t, nodes[1], 1, 0, 7); string(got) != "gen-two" {
+		t.Fatalf("laggard after checkpoint: %q", got)
+	}
+}
+
+// failingLog is a peer-log device whose reads fail while broken is set.
+type failingLog struct {
+	wal.Device
+	broken *atomic.Bool
+}
+
+func (f failingLog) Open(from int64) (io.ReadCloser, error) {
+	if f.broken.Load() {
+		return nil, errors.New("injected peer-log read failure")
+	}
+	return f.Device.Open(from)
+}
+
+// TestCheckpointLazyFailedDrainWithholdsAck: where there is a lazy
+// reader the sync round still runs, and still protects it. Node 2 reads
+// node 1's log lazily and has pulled nothing; while its log reads fail
+// it cannot drain, so it withholds the sync ack, the checkpoint times
+// out, and no log head moves. Once reads work again the next checkpoint
+// drains it, trims, and the laggard still sees the data.
+func TestCheckpointLazyFailedDrainWithholdsAck(t *testing.T) {
+	var broken atomic.Bool
+	nodes, _ := storeCluster(t, 2, 1024, storeClusterOpts{
+		prop: Lazy,
+		peerLog: func(i int, dev wal.Device) wal.Device {
+			if i == 1 {
+				return failingLog{Device: dev, broken: &broken}
+			}
+			return dev
+		},
+	})
+	commitWrite(t, nodes[0], 1, 0, []byte("unpulled"))
+	if err := nodes[0].RVM().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := nodes[0].RVM().Log().Size()
+
+	broken.Store(true)
+	err := nodes[0].CoordinatedCheckpoint([]uint32{1}, 300*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint sync") {
+		t.Fatalf("checkpoint with an undrainable lazy reader: %v, want a sync-round timeout", err)
+	}
+	if nodes[1].Stats().Counter(metrics.CtrCkptErrors) == 0 {
+		t.Fatal("the failed drain was not counted")
+	}
+	// The durable marker was appended, but nothing was trimmed.
+	if after, _ := nodes[0].RVM().Log().Size(); after < before {
+		t.Fatalf("log head moved (%d -> %d bytes) although a reader could not drain", before, after)
+	}
+	if got := nodes[0].Stats().Counter(metrics.CtrLogTrims); got != 0 {
+		t.Fatalf("%d log trims after an aborted checkpoint", got)
+	}
+
+	broken.Store(false)
+	if err := nodes[0].CoordinatedCheckpoint([]uint32{1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sz, _ := nodes[0].RVM().Log().Size(); sz != 0 {
+		t.Fatalf("log not trimmed after the drained checkpoint (%d bytes)", sz)
+	}
+	if got := readUnder(t, nodes[1], 1, 0, 8); string(got) != "unpulled" {
 		t.Fatalf("laggard after checkpoint: %q", got)
 	}
 }

@@ -63,7 +63,7 @@ func (t *Tx) Acquire(lockID uint32) error {
 	}
 	var g lockmgr.Grant
 	var err error
-	if n.prop == Lazy || (n.pullStall && n.peerLogs != nil) {
+	if n.readsPeerLogs() {
 		// Lazy propagation — or eager with pull-on-stall fault
 		// tolerance: take the token without the interlock, then pull
 		// and apply pending records from the server logs ourselves.
@@ -125,7 +125,7 @@ func (t *Tx) AcquireShared(lockID uint32) error {
 	n.Accept() // no-op unless versioned
 
 	var err error
-	if n.prop == Lazy || (n.pullStall && n.peerLogs != nil) {
+	if n.readsPeerLogs() {
 		var g lockmgr.Grant
 		g, err = n.locks.AcquireSharedNoInterlock(lockID)
 		if err == nil {
@@ -536,13 +536,22 @@ func (n *Node) rescanPeerLogs() {
 	n.poke()
 }
 
+// readsPeerLogs reports whether this node ever consumes records from
+// the server-side logs: always under lazy propagation, as the loss
+// backstop under pull-on-stall. (Both require PeerLogs, checked in New.)
+func (n *Node) readsPeerLogs() bool {
+	return n.prop == Lazy || n.pullStall
+}
+
 // drainPeerLogs pulls every cluster member's server-side log to its
-// current end (no-op without PeerLogs). The coordinated checkpoint
-// runs it on every node before any log head is trimmed, so no lazy
-// consumer is left holding a read position — or missing records —
-// below a cut.
+// current end. The coordinated checkpoint runs it on every node before
+// any log head is trimmed, so no lazy consumer is left holding a read
+// position — or missing records — below a cut. A node that never reads
+// those logs has neither, so for it this is a no-op: re-reading and
+// re-decoding every peer's log only to drop each record as stale would
+// put O(log) store traffic on the connection its commits share.
 func (n *Node) drainPeerLogs() error {
-	if n.peerLogs == nil {
+	if !n.readsPeerLogs() {
 		return nil
 	}
 	for _, p := range n.clusterNodes {

@@ -811,7 +811,14 @@ func (m *Manager) AwaitApplied(lockID uint32, writeSeq uint64, d time.Duration) 
 		if m.closed || time.Now().After(deadline) {
 			return false
 		}
-		t := time.AfterFunc(time.Until(deadline), m.cond.Broadcast)
+		// The wake-up takes the lock: Wait registers before it unlocks,
+		// so a timer that fires early cannot broadcast into the gap
+		// before this goroutine is parked and be lost.
+		t := time.AfterFunc(time.Until(deadline), func() {
+			m.mu.Lock()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+		})
 		m.cond.Wait()
 		t.Stop()
 	}

@@ -500,3 +500,28 @@ func TestLockWaitCounterAccrues(t *testing.T) {
 		t.Fatalf("lock wait = %dns", ms[1].Stats().Counter("lock_wait_ns"))
 	}
 }
+
+// TestAwaitAppliedTimeoutNeverHangs: the timeout must fire even when it
+// expires in the instant between arming the timer and parking on the
+// condition variable. The timer's wake-up used to broadcast without the
+// manager's lock, so one landing in that gap was lost and the waiter
+// slept until some unrelated MarkApplied — forever on a quiet lock (seen
+// as a pull-on-stall acquire wedged in the chaos soak).
+func TestAwaitAppliedTimeoutNeverHangs(t *testing.T) {
+	m := cluster(t, 1)[0]
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5000; i++ {
+			if m.AwaitApplied(1, 1, time.Duration(i%5)*time.Microsecond) {
+				t.Error("AwaitApplied reported an update nobody applied")
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("AwaitApplied slept through its timeout")
+	}
+}

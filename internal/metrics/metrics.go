@@ -388,6 +388,8 @@ const (
 	CtrCkptSizeErrors = "checkpoint_size_errors" // log.Size failures swallowed by NeedsCheckpoint
 	CtrCkptSweepPages = "checkpoint_sweep_pages" // pages copied to the store by fuzzy sweeps
 	CtrCkptDirtyPages = "checkpoint_dirty_pages" // pages re-copied after racing commits dirtied them
+	CtrCkptSweepBytes = "ckpt_sweep_bytes"       // bytes copied under segment locks by fuzzy sweeps
+	CtrCkptQuiesceNS  = "ckpt_quiesce_ns"        // cumulative time a coordinator held every lock at once
 	CtrCkptMarkers    = "checkpoint_markers"     // durable checkpoint markers appended
 	CtrLogTrims       = "log_trims"              // online log head trims completed
 	CtrCkptErrors     = "checkpoint_errors"      // checkpoint steps that failed (peer or coordinator)
@@ -487,6 +489,7 @@ var fixedIdx = buildIndex([]string{
 	CtrEvictedSenderFrames, CtrSuspicions, CtrEvictions, CtrRejoins,
 	CtrReclaimedTokens,
 	CtrCkptSizeErrors, CtrCkptSweepPages, CtrCkptDirtyPages,
+	CtrCkptSweepBytes, CtrCkptQuiesceNS,
 	CtrCkptMarkers, CtrLogTrims, CtrCkptErrors, CtrPullRescans,
 	CtrStoreQuorumWrites, CtrStoreQuorumReads, CtrStoreReadFast,
 	CtrStoreReadRepairs, CtrStoreLogRepairs, CtrStoreQuorumRetries,

@@ -65,6 +65,18 @@ const (
 	SpanQuorumWrite = "store.quorum_write" // one majority-acked write round
 	SpanCatchup     = "store.catchup"      // snapshot + log-tail transfer to a joiner
 	SpanViewChange  = "store.view_change"  // reconfiguration installed through both majorities
+
+	// Coordinated-checkpoint spans (coherency.CoordinatedCheckpoint),
+	// emitted by the coordinator with Node = its id and Tx = the
+	// checkpoint epoch. ckpt.quiesce is the window in which commits can
+	// stall; ckpt.seal is the part of it spent with every lock held.
+	SpanCkptBegin     = "ckpt.begin"      // Begin round: peers record their cuts; N = peers
+	SpanCkptSweep     = "ckpt.sweep"      // fuzzy per-lock sweep until its writer is drained; N = bytes
+	SpanCkptSweepLock = "ckpt.sweep.lock" // one segment: acquire + copy under Lock; N = bytes
+	SpanCkptQuiesce   = "ckpt.quiesce"    // first quiesce acquire -> release; N = locks
+	SpanCkptSeal      = "ckpt.seal"       // remainder + dirty pages, force, marker; N = pages re-swept
+	SpanCkptSync      = "ckpt.sync"       // drain of server-log readers + Sync round; N = peers
+	SpanCkptTrim      = "ckpt.trim"       // own head trim + Checkpoint round; N = logical cut
 )
 
 // Tracer records spans into a fixed-capacity ring buffer. Writers claim

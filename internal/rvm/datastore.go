@@ -62,19 +62,29 @@ func (s *MemStore) StoreRegion(id uint32, data []byte) error {
 	return nil
 }
 
-// StorePage implements PageStore: write one page in place, growing
-// the image as needed.
+// StorePage implements PageStore: a batch of one.
 func (s *MemStore) StorePage(id uint32, off int64, data []byte) error {
+	return s.StorePages(id, []PageWrite{{Off: off, Data: data}})
+}
+
+// StorePages implements PageStore: the writes land in place, in order,
+// growing the image once to the furthest byte any of them reaches.
+func (s *MemStore) StorePages(id uint32, pages []PageWrite) error {
+	need, err := pagesExtent(pages)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	img := s.regions[id]
-	need := int(off) + len(data)
-	if len(img) < need {
+	if int64(len(img)) < need {
 		grown := make([]byte, need)
 		copy(grown, img)
 		img = grown
 	}
-	copy(img[off:], data)
+	for _, p := range pages {
+		copy(img[p.Off:], p.Data)
+	}
 	s.regions[id] = img
 	return nil
 }
@@ -136,11 +146,19 @@ func (s *DirStore) StoreRegion(id uint32, data []byte) error {
 	return os.Rename(tmp, s.regionPath(id))
 }
 
-// StorePage implements PageStore: page writes go straight into the
-// image file with WriteAt. In-place page writes are safe here because
-// the log head is trimmed only after a full sweep completes, so a
-// crash mid-page is always repaired by replay.
+// StorePage implements PageStore: a batch of one.
 func (s *DirStore) StorePage(id uint32, off int64, data []byte) error {
+	return s.StorePages(id, []PageWrite{{Off: off, Data: data}})
+}
+
+// StorePages implements PageStore: page writes go straight into the
+// image file with WriteAt, forced once per batch. In-place page writes
+// are safe here because the log head is trimmed only after a full sweep
+// completes, so a crash mid-page is always repaired by replay.
+func (s *DirStore) StorePages(id uint32, pages []PageWrite) error {
+	if _, err := pagesExtent(pages); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, err := os.OpenFile(s.regionPath(id), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -148,8 +166,10 @@ func (s *DirStore) StorePage(id uint32, off int64, data []byte) error {
 		return err
 	}
 	defer f.Close()
-	if _, err := f.WriteAt(data, off); err != nil {
-		return err
+	for _, p := range pages {
+		if _, err := f.WriteAt(p.Data, p.Off); err != nil {
+			return err
+		}
 	}
 	return f.Sync()
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
+	"lbc/internal/bufpool"
 	"lbc/internal/metrics"
 	"lbc/internal/wal"
 )
@@ -29,10 +31,54 @@ import (
 // coherency layer's lock boundaries are the natural interleaving
 // points (cf. Janssens & Fuchs checkpointing at lock releases, §5).
 
-// PageStore is an optional DataStore extension for writing single
-// pages of a region image in place.
+// PageWrite is one in-place write of a region image: Data lands at byte
+// offset Off.
+type PageWrite struct {
+	Off  int64
+	Data []byte
+}
+
+// PageStore is an optional DataStore extension for writing pages of a
+// region image in place, growing the image as needed. StorePages applies
+// its writes in order (a later write to the same bytes wins) but not
+// atomically: a crash mid-batch leaves a prefix applied, which replay
+// from the previous checkpoint repairs. StorePage is a batch of one.
 type PageStore interface {
 	StorePage(id uint32, off int64, data []byte) error
+	StorePages(id uint32, pages []PageWrite) error
+}
+
+// pagesExtent returns the furthest image byte a batch reaches, rejecting
+// negative and overflowing offsets.
+func pagesExtent(pages []PageWrite) (int64, error) {
+	var need int64
+	for _, p := range pages {
+		end := p.Off + int64(len(p.Data))
+		if p.Off < 0 || end < p.Off {
+			return 0, fmt.Errorf("rvm: page write at offset %d (%d bytes) out of range", p.Off, len(p.Data))
+		}
+		if end > need {
+			need = end
+		}
+	}
+	return need, nil
+}
+
+// sweepBatchBytes is how many copied bytes a fuzzy sweep accumulates
+// before shipping them as one vectored store write: large enough that a
+// region costs O(size/1 MiB) round trips, small enough that one write
+// occupies the store connection — which commits' log appends share —
+// for about a millisecond.
+const sweepBatchBytes = 1 << 20
+
+// sweepBatch is one vectored write on its way to the writer goroutine.
+// A batch with done set is a barrier: the writer answers it with the
+// first error it has met so far.
+type sweepBatch struct {
+	region uint32
+	pages  []PageWrite
+	bufs   [][]byte // pooled copies backing pages; recycled once written
+	done   chan error
 }
 
 // IncrementalCheckpointer sweeps mapped regions page by page.
@@ -49,6 +95,15 @@ type IncrementalCheckpointer struct {
 
 	concurrent bool          // a fuzzy sweep (BeginConcurrent) is in progress
 	tracker    *dirtyTracker // this sweep's tracker, installed in r.dirty
+
+	// Write-behind state of a fuzzy sweep. SweepRange and ResweepDirty
+	// fill pending on the caller's goroutine; full batches travel over
+	// batches to the single writer goroutine, whose FIFO order is what
+	// lets a later copy of a page supersede an earlier one on the store.
+	pending      sweepBatch
+	pendingBytes int
+	batches      chan sweepBatch
+	writerDone   chan struct{}
 }
 
 // pageKey identifies one page of one region in the dirty tracker.
@@ -191,7 +246,8 @@ func (c *IncrementalCheckpointer) Step() (done bool, err error) {
 	if end > reg.Size() {
 		end = reg.Size()
 	}
-	if err := c.storePage(uint32(reg.ID()), int64(start), reg.Bytes()[start:end]); err != nil {
+	page := []PageWrite{{Off: int64(start), Data: reg.Bytes()[start:end]}}
+	if err := StorePages(c.r.data, uint32(reg.ID()), page); err != nil {
 		return false, fmt.Errorf("rvm: checkpoint page %d of region %d: %w", c.pageIdx, reg.ID(), err)
 	}
 	c.pagesDone++
@@ -230,24 +286,103 @@ func (c *IncrementalCheckpointer) Run() error {
 	}
 }
 
-// storePage writes one page, using the store's PageStore fast path
-// when available and read-modify-write otherwise.
-func (c *IncrementalCheckpointer) storePage(id uint32, off int64, data []byte) error {
-	if ps, ok := c.r.data.(PageStore); ok {
-		return ps.StorePage(id, off, data)
+// StorePages writes a batch of pages of one region image to ds. Every
+// store that can write in place takes the vectored path; the whole-image
+// read-modify-write below remains for replstore alone, whose versioned
+// region writes cannot be partial (a page written under a new version
+// tag to a replica that missed the previous write would leave a newer
+// tag over stale pages, and read-repair would spread them).
+func StorePages(ds DataStore, id uint32, pages []PageWrite) error {
+	if ps, ok := ds.(PageStore); ok {
+		return ps.StorePages(id, pages)
 	}
-	img, err := c.r.data.LoadRegion(id)
+	need, err := pagesExtent(pages)
+	if err != nil {
+		return err
+	}
+	img, err := ds.LoadRegion(id)
 	if err != nil && !errors.Is(err, ErrNoRegion) {
 		return err
 	}
-	need := int(off) + len(data)
-	if len(img) < need {
+	if int64(len(img)) < need {
 		grown := make([]byte, need)
 		copy(grown, img)
 		img = grown
 	}
-	copy(img[off:], data)
-	return c.r.data.StoreRegion(id, img)
+	for _, p := range pages {
+		copy(img[p.Off:], p.Data)
+	}
+	return ds.StoreRegion(id, img)
+}
+
+// writeLoop is the sweep's single writer: it stores batches in arrival
+// order, recycles their buffers, and after a failed write drops the rest
+// (the sweep is lost; the next barrier reports why).
+func (c *IncrementalCheckpointer) writeLoop() {
+	defer close(c.writerDone)
+	var failed error
+	for b := range c.batches {
+		if failed == nil && len(b.pages) > 0 {
+			failed = StorePages(c.r.data, b.region, b.pages)
+		}
+		for _, buf := range b.bufs {
+			bufpool.Put(buf)
+		}
+		if b.done != nil {
+			b.done <- failed
+		}
+	}
+}
+
+// queue adds one write to the pending batch, shipping the batch first if
+// it belongs to another region and afterwards if it is full. pooled
+// marks data as a bufpool copy the writer recycles. Shipping blocks only
+// while the writer is a whole batch behind, which bounds the copies in
+// flight to three batches.
+func (c *IncrementalCheckpointer) queue(region uint32, off int64, data []byte, pooled bool) {
+	if len(c.pending.pages) > 0 && c.pending.region != region {
+		c.ship(nil)
+	}
+	c.pending.region = region
+	c.pending.pages = append(c.pending.pages, PageWrite{Off: off, Data: data})
+	if pooled {
+		c.pending.bufs = append(c.pending.bufs, data)
+	}
+	c.pendingBytes += len(data)
+	if c.pendingBytes >= sweepBatchBytes {
+		c.ship(nil)
+	}
+}
+
+// ship hands the pending batch to the writer.
+func (c *IncrementalCheckpointer) ship(done chan error) {
+	c.pending.done = done
+	c.batches <- c.pending
+	c.pending, c.pendingBytes = sweepBatch{}, 0
+}
+
+// Drain ships whatever the sweep has queued and returns once the writer
+// has stored everything handed to it, reporting the first write error
+// of the sweep. The coordinator drains before taking the quiesce so the
+// fuzzy phase's leftovers are not written with every lock held.
+func (c *IncrementalCheckpointer) Drain() error {
+	if !c.concurrent {
+		return errors.New("rvm: Drain without BeginConcurrent")
+	}
+	done := make(chan error, 1)
+	c.ship(done)
+	return <-done
+}
+
+// stopWriter ends the fuzzy sweep's write-behind: queued copies are
+// dropped and the writer goroutine has exited on return.
+func (c *IncrementalCheckpointer) stopWriter() {
+	for _, buf := range c.pending.bufs {
+		bufpool.Put(buf)
+	}
+	c.pending, c.pendingBytes = sweepBatch{}, 0
+	close(c.batches)
+	<-c.writerDone
 }
 
 // BeginConcurrent starts a fuzzy sweep: the log length is noted and a
@@ -282,23 +417,28 @@ func (c *IncrementalCheckpointer) BeginConcurrent() error {
 	c.pagesDone = 0
 	c.tracker = t
 	c.concurrent = true
+	c.batches = make(chan sweepBatch, 1)
+	c.writerDone = make(chan struct{})
+	go c.writeLoop()
 	return nil
 }
 
-// SweepRange copies the bytes [off, off+n) of region id to the
-// permanent store in page-sized chunks. The caller must hold the
-// segment lock covering the range: the lock excludes concurrent
-// writers from these bytes (a copy never captures uncommitted data)
-// and the acquire interlock guarantees all committed peer updates to
-// the range have been applied locally. Only the exact range is read,
-// so writers under *other* locks proceed concurrently without a data
-// race.
+// SweepRange copies the bytes [off, off+n) of region id into pooled
+// buffers and queues them for the permanent store; the writer goroutine
+// stores them behind the caller, so the caller's lock is held for a
+// memory copy, not a store round trip. The caller must hold the segment
+// lock covering the range: the lock excludes concurrent writers from
+// these bytes (a copy never captures uncommitted data) and the acquire
+// interlock guarantees all committed peer updates to the range have
+// been applied locally. Only the exact range is read, so writers under
+// *other* locks proceed concurrently without a data race. Writing after
+// the lock is released is safe because a commit that lands in between
+// marks its pages dirty, and ResweepDirty queues their final copies
+// behind this one on the same in-order writer. A store failure surfaces
+// at the next Drain.
 func (c *IncrementalCheckpointer) SweepRange(id RegionID, off, n uint64) error {
 	if !c.concurrent {
 		return errors.New("rvm: SweepRange without BeginConcurrent")
-	}
-	if n == 0 {
-		return nil
 	}
 	reg := c.r.Region(id)
 	if reg == nil {
@@ -308,38 +448,44 @@ func (c *IncrementalCheckpointer) SweepRange(id RegionID, off, n uint64) error {
 	if end > uint64(reg.Size()) {
 		end = uint64(reg.Size())
 	}
-	ps := uint64(c.pageSize)
+	if end <= off {
+		return nil
+	}
 	for at := off; at < end; {
-		// Chunk boundaries align to pages so the store sees page-shaped
-		// writes, clipped to the locked range at both ends.
-		stop := (at/ps + 1) * ps
+		stop := at + sweepBatchBytes
 		if stop > end {
 			stop = end
 		}
-		if err := c.storePage(uint32(id), int64(at), reg.Bytes()[at:stop]); err != nil {
-			return fmt.Errorf("rvm: sweep region %d [%d,%d): %w", id, at, stop, err)
-		}
-		c.pagesDone++
-		c.r.stats.Add(metrics.CtrCkptSweepPages, 1)
+		buf := append(bufpool.Get(int(stop-at)), reg.Bytes()[at:stop]...)
+		c.queue(uint32(id), int64(at), buf, true)
 		at = stop
 	}
+	ps := uint64(c.pageSize)
+	pages := int((end-1)/ps - off/ps + 1)
+	c.pagesDone += pages
+	c.r.stats.Add(metrics.CtrCkptSweepPages, int64(pages))
+	c.r.stats.Add(metrics.CtrCkptSweepBytes, int64(end-off))
 	return nil
 }
 
-// ResweepDirty re-copies every page dirtied since BeginConcurrent.
+// ResweepDirty re-copies every page dirtied since BeginConcurrent and
+// drains the writer, so on return the store holds everything the sweep
+// queued — typically in one vectored write, whatever the dirty count.
 // Must run under a full quiesce (all segment locks held): the racing
-// writers are excluded, so whole-page copies are safe, and nothing can
-// dirty a page after it is re-copied. Returns the number of pages
-// re-swept.
+// writers are excluded, so whole pages are written straight from the
+// mapped image, and nothing can dirty a page after it is re-copied.
+// Returns the number of pages re-swept.
 func (c *IncrementalCheckpointer) ResweepDirty() (int, error) {
 	if !c.concurrent {
 		return 0, errors.New("rvm: ResweepDirty without BeginConcurrent")
 	}
-	t := c.r.dirty.Load()
-	if t == nil {
-		return 0, nil
-	}
-	keys := t.take()
+	keys := c.tracker.take()
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].region != keys[j].region {
+			return keys[i].region < keys[j].region
+		}
+		return keys[i].page < keys[j].page
+	})
 	ps := uint64(c.pageSize)
 	var done int
 	for _, k := range keys {
@@ -355,13 +501,14 @@ func (c *IncrementalCheckpointer) ResweepDirty() (int, error) {
 		if end > uint64(reg.Size()) {
 			end = uint64(reg.Size())
 		}
-		if err := c.storePage(k.region, int64(start), reg.Bytes()[start:end]); err != nil {
-			return done, fmt.Errorf("rvm: resweep page %d of region %d: %w", k.page, k.region, err)
-		}
+		c.queue(k.region, int64(start), reg.Bytes()[start:end], false)
 		done++
-		c.pagesDone++
-		c.r.stats.Add(metrics.CtrCkptDirtyPages, 1)
 	}
+	if err := c.Drain(); err != nil {
+		return 0, fmt.Errorf("rvm: checkpoint page write: %w", err)
+	}
+	c.pagesDone += done
+	c.r.stats.Add(metrics.CtrCkptDirtyPages, int64(done))
 	return done, nil
 }
 
@@ -377,6 +524,11 @@ func (c *IncrementalCheckpointer) FinishQuiesced() (markerAt, end int64, err err
 	if !c.concurrent {
 		return 0, 0, errors.New("rvm: FinishQuiesced without BeginConcurrent")
 	}
+	// The marker vouches for every page queued: none may still be in
+	// flight when the images are forced.
+	if err := c.Drain(); err != nil {
+		return 0, 0, fmt.Errorf("rvm: checkpoint page write: %w", err)
+	}
 	if err := c.r.data.Sync(); err != nil {
 		return 0, 0, fmt.Errorf("rvm: checkpoint sync: %w", err)
 	}
@@ -389,6 +541,7 @@ func (c *IncrementalCheckpointer) FinishQuiesced() (markerAt, end int64, err err
 	c.r.dirty.CompareAndSwap(c.tracker, nil)
 	c.tracker = nil
 	c.concurrent = false
+	c.stopWriter()
 	return markerAt, end, nil
 }
 
@@ -403,6 +556,7 @@ func (c *IncrementalCheckpointer) AbortConcurrent() {
 	c.r.dirty.CompareAndSwap(c.tracker, nil)
 	c.tracker = nil
 	c.concurrent = false
+	c.stopWriter()
 }
 
 // TrimLogHead discards the log prefix [0, upTo), where upTo is a

@@ -17,8 +17,9 @@ import (
 	"lbc/internal/wal"
 )
 
-// Client talks to a storage Server. It implements rvm.DataStore
-// directly, and LogDevice returns a wal.Device view of one node's log
+// Client talks to a storage Server. It implements rvm.DataStore and
+// rvm.PageStore directly, and LogDevice returns a wal.Device view of one
+// node's log
 // on the server. A Client serializes its requests over a single TCP
 // connection, like a single NFS mount in the prototype.
 //
@@ -39,6 +40,11 @@ type Client struct {
 	cur   int        // index into addrs currently connected
 	rng   *rand.Rand // failover backoff jitter; guarded by mu
 }
+
+var (
+	_ rvm.DataStore = (*Client)(nil)
+	_ rvm.PageStore = (*Client)(nil)
+)
 
 const (
 	dialTimeout = 2 * time.Second
@@ -221,6 +227,19 @@ func (c *Client) StoreRegion(id uint32, data []byte) error {
 	binary.LittleEndian.PutUint32(req, id)
 	copy(req[4:], data)
 	_, err := c.call(opStoreRegion, req)
+	return err
+}
+
+// StorePage implements rvm.PageStore: a batch of one.
+func (c *Client) StorePage(id uint32, off int64, data []byte) error {
+	return c.StorePages(id, []rvm.PageWrite{{Off: off, Data: data}})
+}
+
+// StorePages implements rvm.PageStore: the whole batch travels in one
+// request, so a checkpoint sweep costs round trips per batch, not per
+// page — and never a read of the image it is updating.
+func (c *Client) StorePages(id uint32, pages []rvm.PageWrite) error {
+	_, err := c.call(opStorePages, encodeStorePages(id, pages))
 	return err
 }
 

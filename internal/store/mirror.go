@@ -37,12 +37,11 @@ func (s *Server) forwardToMirror(op uint8, body []byte) error {
 	if m == nil {
 		return nil
 	}
-	switch op {
-	case opStoreRegion, opAppendLog, opSyncLog, opTruncateLog, opResetLog,
-		opSyncData, opWriteVersioned, opAppendLogAt, opSetView:
-		if _, err := m.call(op, body); err != nil {
-			return fmt.Errorf("store: mirror: %w", err)
-		}
+	if !isWriteOp(op) {
+		return nil
+	}
+	if _, err := m.call(op, body); err != nil {
+		return fmt.Errorf("store: mirror: %w", err)
 	}
 	return nil
 }

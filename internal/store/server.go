@@ -49,6 +49,10 @@ const (
 	opSetView        // {view} -> {view}
 	opLogStat        // {} -> {n u32, (node u32, size u64)*}
 	opReadLogRange   // {node u32, from u64, n u64} -> data (at most n bytes)
+
+	// Page-granular image writes (rvm.PageStore): the incremental
+	// checkpoint's sweep. A single page is a batch of one.
+	opStorePages // {region u32, (off u64, len u32, bytes)*} -> {}
 )
 
 const (
@@ -58,6 +62,10 @@ const (
 )
 
 const maxMsg = 1 << 30
+
+// maxImage caps how far a page write may grow a region image: an image
+// must still fit in one LoadRegion response (status byte + image).
+const maxImage = maxMsg - 1
 
 // Server is the storage service. Region images are kept in the given
 // rvm.DataStore; per-node logs are created on demand via the device
@@ -281,6 +289,8 @@ func opCounter(op uint8) string {
 		return "op_log_stat"
 	case opReadLogRange:
 		return "op_read_log_range"
+	case opStorePages:
+		return "op_store_pages"
 	default:
 		return "op_unknown"
 	}
@@ -290,7 +300,7 @@ func opCounter(op uint8) string {
 func isWriteOp(op uint8) bool {
 	switch op {
 	case opStoreRegion, opSyncData, opAppendLog, opSyncLog, opTruncateLog,
-		opResetLog, opWriteVersioned, opAppendLogAt, opSetView:
+		opResetLog, opWriteVersioned, opAppendLogAt, opSetView, opStorePages:
 		return true
 	}
 	return false
@@ -315,6 +325,15 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		}
 		id := binary.LittleEndian.Uint32(body)
 		return nil, s.data.StoreRegion(id, body[4:])
+
+	case opStorePages:
+		id, pages, err := decodeStorePages(body)
+		if err != nil {
+			return nil, err
+		}
+		// Image bytes written; not an op_* name, which count requests.
+		s.stats.Add("store_pages_bytes", int64(len(body)-4-12*len(pages)))
+		return nil, rvm.StorePages(s.data, id, pages)
 
 	case opListRegions:
 		ids, err := s.data.Regions()
@@ -467,6 +486,58 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("store: unknown op %d", op)
 	}
+}
+
+// encodeStorePages builds an opStorePages body: the region id, then one
+// {off u64, len u32, bytes} entry per write.
+func encodeStorePages(id uint32, pages []rvm.PageWrite) []byte {
+	n := 4
+	for _, p := range pages {
+		n += 12 + len(p.Data)
+	}
+	b := make([]byte, 4, n)
+	binary.LittleEndian.PutUint32(b, id)
+	for _, p := range pages {
+		var hdr [12]byte
+		binary.LittleEndian.PutUint64(hdr[:], uint64(p.Off))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(p.Data)))
+		b = append(append(b, hdr[:]...), p.Data...)
+	}
+	return b
+}
+
+// decodeStorePages parses and validates an opStorePages body. The
+// request comes off the network, so nothing is applied unless every
+// entry is whole, the entries account for the body exactly, and no write
+// reaches past maxImage (a hostile offset must not size an allocation).
+// The returned pages alias body.
+func decodeStorePages(body []byte) (uint32, []rvm.PageWrite, error) {
+	if len(body) < 4 {
+		return 0, nil, errors.New("store: bad StorePages request")
+	}
+	id := binary.LittleEndian.Uint32(body)
+	if id >= metaRegionMin {
+		return 0, nil, fmt.Errorf("store: region %d is reserved", id)
+	}
+	var pages []rvm.PageWrite
+	for rest := body[4:]; len(rest) > 0; {
+		if len(rest) < 12 {
+			return 0, nil, errors.New("store: StorePages entry header truncated")
+		}
+		off := binary.LittleEndian.Uint64(rest)
+		n := uint64(binary.LittleEndian.Uint32(rest[8:]))
+		rest = rest[12:]
+		if n > uint64(len(rest)) {
+			return 0, nil, errors.New("store: StorePages entry longer than the request")
+		}
+		// off is checked alone first: off+n cannot wrap once off is small.
+		if off > maxImage || off+n > maxImage {
+			return 0, nil, fmt.Errorf("store: page write [%d,+%d) past the %d-byte image cap", off, n, maxImage)
+		}
+		pages = append(pages, rvm.PageWrite{Off: int64(off), Data: rest[:n:n]})
+		rest = rest[n:]
+	}
+	return id, pages, nil
 }
 
 func encodeIDs(ids []uint32) []byte {
