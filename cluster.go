@@ -774,6 +774,9 @@ func (c *Cluster) AddSegmentAll(seg Segment) {
 // every registered segment lock: the image sweep proceeds concurrently
 // with commits, a short final quiesce stamps the durable marker, and
 // every node's log head is trimmed online to its raced-commit tail.
+// One checkpoint runs at a time: while one is in progress a second,
+// from any node, fails at once (coherency.ErrCheckpointBusy) having
+// done nothing.
 func (c *Cluster) Checkpoint(i int, timeout time.Duration) error {
 	if c.down[i] {
 		return fmt.Errorf("lbc: checkpoint coordinator node %d is down", c.ids[i])

@@ -191,7 +191,7 @@ func (c *countingStore) StoreRegion(id uint32, data []byte) error {
 func TestFaultyStoreKeepsThePageWritePath(t *testing.T) {
 	inner := &countingStore{MemStore: rvm.NewMemStore()}
 	fs := WrapDataStore(inner, New(Config{Seed: 5}), "n1")
-	if err := fs.StorePage(1, 8, []byte("page")); err != nil {
+	if err := fs.StorePages(1, []rvm.PageWrite{{Off: 8, Data: []byte("page")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.StorePages(1, []rvm.PageWrite{{Off: 0, Data: []byte("vec")}, {Off: 16, Data: []byte("tor")}}); err != nil {
@@ -216,7 +216,7 @@ func TestFaultyStoreKeepsThePageWritePath(t *testing.T) {
 	// would on the bare store.
 	var bare struct{ rvm.DataStore }
 	bare.DataStore = rvm.NewMemStore()
-	if err := WrapDataStore(bare, New(Config{Seed: 5}), "n2").StorePage(2, 4, []byte("rmw")); err != nil {
+	if err := WrapDataStore(bare, New(Config{Seed: 5}), "n2").StorePages(2, []rvm.PageWrite{{Off: 4, Data: []byte("rmw")}}); err != nil {
 		t.Fatal(err)
 	}
 	if img, _ := bare.LoadRegion(2); string(img) != "\x00\x00\x00\x00rmw" {

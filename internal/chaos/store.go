@@ -76,11 +76,6 @@ func (f *FaultyStore) StoreRegion(id uint32, data []byte) error {
 	return f.inner.StoreRegion(id, data)
 }
 
-// StorePage implements rvm.PageStore: a batch of one.
-func (f *FaultyStore) StorePage(id uint32, off int64, data []byte) error {
-	return f.StorePages(id, []rvm.PageWrite{{Off: off, Data: data}})
-}
-
 // StorePages implements rvm.PageStore, so a checkpoint under fault
 // injection sweeps the way it does without: an inner store that writes
 // pages in place still does, and one that cannot still gets the

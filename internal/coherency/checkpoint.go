@@ -39,18 +39,30 @@ import (
 // at the coordinator under the relevant lock — before any page was
 // swept).
 //
+// One checkpoint runs at a time, cluster-wide. The sweep stores a
+// segment's copy after releasing the segment's lock, so within one
+// checkpoint the single in-order writer is what orders a page's copies on
+// the store; nothing orders the writers of two coordinators against each
+// other, and a stale copy from one landing over a page the other has
+// sealed — and trimmed the logs past — would lose a committed update.
+// The Begin round is the mutual exclusion: it needs an ack from every
+// other node, and a node refuses (Busy) from the moment it starts
+// coordinating until its own sweep's writer has exited. Two nodes
+// that start in the same instant refuse each other and both return
+// ErrCheckpointBusy; the caller retries.
+//
 // Cuts are *logical* log offsets (rvm.LogCut: physical size plus bytes
-// already trimmed), not raw sizes. Concurrent checkpoints from
-// different coordinators are allowed, and one may trim a log between
-// another's Begin and Checkpoint messages; logical cuts rebase against
-// such trims (rvm.TrimLogHeadLogical), so a stale cut removes only
-// records it actually covers and never ones appended after it was
-// recorded.
+// already trimmed), not raw sizes: a cut recorded for a checkpoint that
+// was later refused or abandoned goes stale, and logical cuts rebase
+// against whatever trims happened since (rvm.TrimLogHeadLogical), so a
+// stale cut removes only records it actually covers and never ones
+// appended after it was recorded.
 //
 // Protocol framing:
 //
 //	Begin{epoch}      coordinator -> peers   peers note their logical log
-//	BeginAck{epoch}   peer -> coordinator    end (the cut candidate) and ack
+//	BeginAck{epoch}   peer -> coordinator    end (the cut candidate) and ack,
+//	Busy{epoch}       peer -> coordinator    or refuse: they are coordinating
 //	    ... fuzzy per-lock sweep, concurrent with commits ...
 //	    ... quiesce: remainder sweep, dirty resweep, marker; release ...
 //	Sync{epoch}       coordinator -> peers   a node that reads the server logs
@@ -73,11 +85,17 @@ const (
 	MsgCheckpointBeginAck uint8 = 0x29 // peer -> coordinator: {epoch u64}
 	MsgCheckpointSync     uint8 = 0x2A // coordinator -> peers: {epoch u64}
 	MsgCheckpointSyncAck  uint8 = 0x2B // peer -> coordinator: {epoch u64}
+	MsgCheckpointBusy     uint8 = 0x2E // peer -> coordinator: {epoch u64}, Begin refused
 )
 
+// ErrCheckpointBusy reports that a checkpoint was not started because
+// another one is in progress: on this node, or on a peer that refused
+// the Begin round. Nothing was swept or trimmed; retry later.
+var ErrCheckpointBusy = errors.New("coherency: another checkpoint is in progress")
+
 // cutKey names one peer-side cut candidate: epochs are per-coordinator
-// counters, so the coordinator id disambiguates concurrent checkpoints
-// from different nodes.
+// counters, so the coordinator id disambiguates checkpoints from
+// different nodes.
 type cutKey struct {
 	from  netproto.NodeID
 	epoch uint64
@@ -88,6 +106,8 @@ type cutKey struct {
 type ckptState struct {
 	mu           sync.Mutex
 	epoch        uint64
+	coordinating bool                            // this node has a checkpoint in progress
+	refused      map[uint64]chan netproto.NodeID // begin-phase refusals
 	waiters      map[uint64]chan netproto.NodeID // done-phase acks
 	beginWaiters map[uint64]chan netproto.NodeID // begin-phase acks
 	syncWaiters  map[uint64]chan netproto.NodeID // sync-phase acks
@@ -96,6 +116,7 @@ type ckptState struct {
 
 func (n *Node) initCheckpoint() {
 	n.ckpt = &ckptState{
+		refused:      map[uint64]chan netproto.NodeID{},
 		waiters:      map[uint64]chan netproto.NodeID{},
 		beginWaiters: map[uint64]chan netproto.NodeID{},
 		syncWaiters:  map[uint64]chan netproto.NodeID{},
@@ -107,6 +128,7 @@ func (n *Node) initCheckpoint() {
 	n.tr.Handle(MsgCheckpointBeginAck, n.onCheckpointBeginAck)
 	n.tr.Handle(MsgCheckpointSync, n.onCheckpointSync)
 	n.tr.Handle(MsgCheckpointSyncAck, n.onCheckpointSyncAck)
+	n.tr.Handle(MsgCheckpointBusy, n.onCheckpointBusy)
 }
 
 // sweepRange is one byte range the quiesced remainder sweep must copy.
@@ -126,9 +148,22 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	peers := n.tr.Peers()
 
 	n.ckpt.mu.Lock()
+	if n.ckpt.coordinating {
+		n.ckpt.mu.Unlock()
+		return ErrCheckpointBusy
+	}
+	n.ckpt.coordinating = true
 	n.ckpt.epoch++
 	epoch := n.ckpt.epoch
 	n.ckpt.mu.Unlock()
+	// Registered first so it runs last: this node refuses other
+	// coordinators until its sweep's writer has exited (AbortConcurrent
+	// below), after which none of its copies can still reach the store.
+	defer func() {
+		n.ckpt.mu.Lock()
+		n.ckpt.coordinating = false
+		n.ckpt.mu.Unlock()
+	}()
 
 	// Phase 1: peers record their current logical log end as the cut
 	// they will trim to. Every record below a peer's cut committed
@@ -155,8 +190,7 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	// path (no-op after a successful FinishQuiesced).
 	defer ckpt.AbortConcurrent()
 
-	// Ordered acquisition avoids deadlock against a concurrent
-	// coordinator.
+	// Both phases take the locks in ascending order.
 	sorted := append([]uint32(nil), lockIDs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
@@ -208,10 +242,11 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	}
 	endSeal := n.ckptSpan(traced, epoch, obs.SpanCkptSeal)
 	// Bytes no registered segment covers were not swept under a lock;
-	// copy them now that all writers are excluded. (With no registered
-	// segments this degenerates to the full stop-the-world image write.)
+	// queue them now that all writers are excluded, straight from the
+	// mapped image. (With no registered segments this degenerates to the
+	// full stop-the-world image write.)
 	for _, sr := range n.uncoveredRanges(sorted) {
-		if err := ckpt.SweepRange(sr.region, sr.off, sr.n); err != nil {
+		if err := ckpt.SweepQuiesced(sr.region, sr.off, sr.n); err != nil {
 			return fmt.Errorf("coherency: checkpoint remainder sweep: %w", err)
 		}
 	}
@@ -309,16 +344,21 @@ func (n *Node) emitCkptSpan(name string, epoch uint64, lock uint32, start time.T
 }
 
 // ckptRound broadcasts one checkpoint protocol message and waits for
-// every peer's ack, registered in the given waiter map under epoch.
+// every peer's ack, registered in the given waiter map under epoch. A
+// peer's Busy reply (only Begin is ever refused) ends the round at once
+// with ErrCheckpointBusy.
 func (n *Node) ckptRound(peers []netproto.NodeID, typ uint8, payload []byte,
 	waiters map[uint64]chan netproto.NodeID, epoch uint64, deadline time.Time) error {
 	acks := make(chan netproto.NodeID, len(peers))
+	refused := make(chan netproto.NodeID, len(peers))
 	n.ckpt.mu.Lock()
 	waiters[epoch] = acks
+	n.ckpt.refused[epoch] = refused
 	n.ckpt.mu.Unlock()
 	defer func() {
 		n.ckpt.mu.Lock()
 		delete(waiters, epoch)
+		delete(n.ckpt.refused, epoch)
 		n.ckpt.mu.Unlock()
 	}()
 	for _, p := range peers {
@@ -336,6 +376,8 @@ func (n *Node) ckptRound(peers []netproto.NodeID, typ uint8, payload []byte,
 		select {
 		case from := <-acks:
 			delete(need, from)
+		case from := <-refused:
+			return fmt.Errorf("node %d: %w", from, ErrCheckpointBusy)
 		case <-timer.C:
 			return fmt.Errorf("epoch %d: %d peers did not ack", epoch, len(need))
 		case <-n.done:
@@ -397,11 +439,22 @@ func (n *Node) uncoveredRanges(lockIDs []uint32) []sweepRange {
 // as the cut this checkpoint will trim to. Records below it committed
 // before the coordinator's sweep started, so the sweep observes them;
 // records appended later may have raced the sweep and must survive in
-// the log. The cut is logical (rvm.LogCut), so a concurrent
-// coordinator trimming our log between now and the Checkpoint message
-// cannot shift it onto — and silently delete — those later records.
+// the log. The cut is logical (rvm.LogCut), so any trim of our log
+// between now and the Checkpoint message cannot shift it onto — and
+// silently delete — those later records. A node that is coordinating a
+// checkpoint of its own refuses instead (see the protocol notes at the top of this file).
 func (n *Node) onCheckpointBegin(from netproto.NodeID, payload []byte) {
 	if len(payload) != 8 {
+		return
+	}
+	n.ckpt.mu.Lock()
+	busy := n.ckpt.coordinating
+	n.ckpt.mu.Unlock()
+	if busy {
+		// Our own sweep's writer may still hold copies: a second
+		// coordinator sealing and trimming now could have them land over
+		// its sealed pages. Refuse; nothing is recorded.
+		_ = n.tr.Send(from, MsgCheckpointBusy, payload)
 		return
 	}
 	epoch := binary.LittleEndian.Uint64(payload)
@@ -431,11 +484,19 @@ func (n *Node) onCheckpointBeginAck(from netproto.NodeID, payload []byte) {
 	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.beginWaiters)
 }
 
+// onCheckpointBusy runs at the coordinator: a peer refused the Begin.
+func (n *Node) onCheckpointBusy(from netproto.NodeID, payload []byte) {
+	if len(payload) != 8 {
+		return
+	}
+	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.refused)
+}
+
 // onCheckpoint runs at a peer: the coordinator's images now reflect
 // every record below the cut recorded at Begin, so trim the local log
 // head to that cut. Commits that raced the sweep sit above the cut and
 // survive in the tail; the logical trim rebases the cut against any
-// trims a concurrent coordinator applied since Begin.
+// trim applied since Begin.
 func (n *Node) onCheckpoint(from netproto.NodeID, payload []byte) {
 	if len(payload) != 16 {
 		return

@@ -199,11 +199,11 @@ func TestCheckpointAllowsConcurrentCommits(t *testing.T) {
 }
 
 // TestCheckpointCutSurvivesConcurrentTrim: a peer's recorded cut must
-// stay correct when another coordinator trims the peer's log between
-// the first coordinator's Begin and Checkpoint messages. The handlers
-// are driven directly because two live coordinators cannot be held in
-// the racing window deterministically (a gated sweep holds the very
-// lock the second quiesce needs).
+// stay correct when something else trims the peer's log between the
+// coordinator's Begin and Checkpoint messages. Coordinators are
+// serialized (TestCheckpointRefusesSecondCoordinator), so the other trim
+// can only be a local one (the node's own rvm checkpoint); the handlers
+// are driven directly to put it inside the window.
 func TestCheckpointCutSurvivesConcurrentTrim(t *testing.T) {
 	nodes, logs := fuzzyCluster(t, 2, halfSegments, nil)
 	peer := nodes[1]
@@ -215,8 +215,8 @@ func TestCheckpointCutSurvivesConcurrentTrim(t *testing.T) {
 	binary.LittleEndian.PutUint64(epochMsg[:], 7)
 	peer.onCheckpointBegin(1, epochMsg[:])
 
-	// Coordinator B completes a whole checkpoint inside A's window and
-	// trims everything recorded so far; then a commit races A's sweep.
+	// Everything recorded so far is trimmed inside A's window; then a
+	// commit races A's sweep.
 	cut, err := peer.RVM().LogCut()
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestCheckpointCutSurvivesConcurrentTrim(t *testing.T) {
 
 	// A's Checkpoint arrives. Interpreted as a raw post-trim offset, A's
 	// stale cut would delete the raced commit's record (or fall beyond
-	// the log end); the logical cut rebases against B's trim to a no-op.
+	// the log end); the logical cut rebases against the trim to a no-op.
 	var doneMsg [16]byte
 	binary.LittleEndian.PutUint64(doneMsg[:8], 7)
 	peer.onCheckpoint(1, doneMsg[:])
@@ -469,5 +469,122 @@ func TestPowerCutMidSweepOverStoreClient(t *testing.T) {
 		t.Run(fmt.Sprintf("after-write-%d-of-%d", k, total), func(t *testing.T) {
 			runPowerCutCheckpoint(t, k)
 		})
+	}
+}
+
+// gatedPowerCutStore holds its first page write at a gate until released
+// (the write then lands) and loses power right after it.
+type gatedPowerCutStore struct {
+	powerCutStore
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedPowerCutStore) StorePages(id uint32, pages []rvm.PageWrite) error {
+	g.once.Do(func() {
+		close(g.reached)
+		<-g.release
+	})
+	return g.powerCutStore.StorePages(id, pages)
+}
+
+// TestCheckpointRefusesSecondCoordinator: a sweep stores a segment's
+// copy after releasing the segment's lock, so a second coordinator that
+// sealed and trimmed in that window would have the first one's stale copy
+// land over its sealed page, with the update gone from every log. Here
+// coordinator A's writer is held with a copy of lock 1's segment queued, a
+// commit W lands under lock 1, and B tries to checkpoint: it must be
+// refused and trim nothing, so that when A's stale copy does land and A
+// then dies before resweeping, W is still recoverable from the logs.
+func TestCheckpointRefusesSecondCoordinator(t *testing.T) {
+	a := &gatedPowerCutStore{
+		powerCutStore: powerCutStore{cutAfter: 1},
+		reached:       make(chan struct{}),
+		release:       make(chan struct{}),
+	}
+	nodes, srv := storeCluster(t, 3, 1024, storeClusterOpts{
+		data: func(i int, cli *store.Client) rvm.DataStore {
+			if i == 0 {
+				a.Client = cli
+				return a
+			}
+			return cli
+		},
+	})
+	for _, n := range nodes {
+		for _, s := range halfSegments {
+			n.AddSegment(s)
+		}
+	}
+	locks := []uint32{1, 2}
+	write := func(val string) {
+		tx := nodes[2].Begin(rvm.NoRestore)
+		if err := tx.Acquire(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(region(t, nodes[2]), 0, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(rvm.Flush); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storeImage := func() []byte {
+		img, err := srv.Data().LoadRegion(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+
+	write("old-value")
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- nodes[0].CoordinatedCheckpoint(locks, 10*time.Second) }()
+	<-a.reached // A holds no lock; its copy of lock 1's segment is in flight
+	write("new-value")
+
+	if err := nodes[1].CoordinatedCheckpoint(locks, 10*time.Second); !errors.Is(err, ErrCheckpointBusy) {
+		t.Fatalf("second coordinator mid-sweep: %v, want ErrCheckpointBusy", err)
+	}
+	if err := nodes[0].CoordinatedCheckpoint(locks, 10*time.Second); !errors.Is(err, ErrCheckpointBusy) {
+		t.Fatalf("second checkpoint on the coordinating node: %v, want ErrCheckpointBusy", err)
+	}
+
+	// A's stale copy lands; A loses power before its dirty resweep.
+	close(a.release)
+	if err := <-ckptErr; !errors.Is(err, errPowerCut) {
+		t.Fatalf("first coordinator: %v, want the power cut", err)
+	}
+	if got := storeImage()[:9]; string(got) != "old-value" {
+		t.Fatalf("store image holds %q; the scenario needs the stale copy to have landed", got)
+	}
+
+	// A node restarting now recovers from that image and the logs.
+	data := rvm.NewMemStore()
+	if err := data.StoreRegion(1, storeImage()); err != nil {
+		t.Fatal(err)
+	}
+	merged := wal.NewMemDevice()
+	var logs []wal.Device
+	for _, n := range nodes {
+		logs = append(logs, n.RVM().Log())
+	}
+	if _, err := merge.MergeTo(merged, logs...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rvm.Recover(merged, data, rvm.RecoverOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := data.LoadRegion(1); string(got[:9]) != "new-value" {
+		t.Fatalf("recovered %q: the commit that raced the sweep was lost", got[:9])
+	}
+
+	// With A done, B coordinates, and its image carries the commit.
+	if err := nodes[1].CoordinatedCheckpoint(locks, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeImage()[:9]; string(got) != "new-value" {
+		t.Fatalf("store image after the second coordinator's checkpoint: %q", got)
 	}
 }

@@ -62,11 +62,6 @@ func (s *MemStore) StoreRegion(id uint32, data []byte) error {
 	return nil
 }
 
-// StorePage implements PageStore: a batch of one.
-func (s *MemStore) StorePage(id uint32, off int64, data []byte) error {
-	return s.StorePages(id, []PageWrite{{Off: off, Data: data}})
-}
-
 // StorePages implements PageStore: the writes land in place, in order,
 // growing the image once to the furthest byte any of them reaches.
 func (s *MemStore) StorePages(id uint32, pages []PageWrite) error {
@@ -144,11 +139,6 @@ func (s *DirStore) StoreRegion(id uint32, data []byte) error {
 		return err
 	}
 	return os.Rename(tmp, s.regionPath(id))
-}
-
-// StorePage implements PageStore: a batch of one.
-func (s *DirStore) StorePage(id uint32, off int64, data []byte) error {
-	return s.StorePages(id, []PageWrite{{Off: off, Data: data}})
 }
 
 // StorePages implements PageStore: page writes go straight into the

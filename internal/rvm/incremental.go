@@ -42,9 +42,8 @@ type PageWrite struct {
 // region image in place, growing the image as needed. StorePages applies
 // its writes in order (a later write to the same bytes wins) but not
 // atomically: a crash mid-batch leaves a prefix applied, which replay
-// from the previous checkpoint repairs. StorePage is a batch of one.
+// from the previous checkpoint repairs. A single page is a batch of one.
 type PageStore interface {
-	StorePage(id uint32, off int64, data []byte) error
 	StorePages(id uint32, pages []PageWrite) error
 }
 
@@ -388,10 +387,10 @@ func (c *IncrementalCheckpointer) stopWriter() {
 // BeginConcurrent starts a fuzzy sweep: the log length is noted and a
 // dirty-page tracker is installed, so pages written by commits, remote
 // applies and aborts racing the sweep are recorded for re-copy. The
-// caller then drives SweepRange/SweepRegions (holding the covering
-// segment lock for each range, which keeps uncommitted bytes out of
-// the copies), and seals the checkpoint with ResweepDirty +
-// FinishQuiesced under a full quiesce.
+// caller then drives SweepRange (holding the covering segment lock for
+// each range, which keeps uncommitted bytes out of the copies), and
+// seals the checkpoint with SweepQuiesced for whatever no lock covers,
+// ResweepDirty and FinishQuiesced under a full quiesce.
 func (c *IncrementalCheckpointer) BeginConcurrent() error {
 	if c.concurrent {
 		return errors.New("rvm: concurrent sweep already in progress")
@@ -434,11 +433,24 @@ func (c *IncrementalCheckpointer) BeginConcurrent() error {
 // *other* locks proceed concurrently without a data race. Writing after
 // the lock is released is safe because a commit that lands in between
 // marks its pages dirty, and ResweepDirty queues their final copies
-// behind this one on the same in-order writer. A store failure surfaces
-// at the next Drain.
+// behind this one on the same in-order writer — given that no other
+// checkpointer writes the same store meanwhile, which the caller must
+// ensure (coherency serializes coordinators cluster-wide). A store
+// failure surfaces at the next Drain.
 func (c *IncrementalCheckpointer) SweepRange(id RegionID, off, n uint64) error {
+	return c.sweep(id, off, n, true)
+}
+
+// SweepQuiesced is SweepRange for a caller that holds every lock until
+// ResweepDirty has returned: with all writers excluded the range is
+// queued straight from the mapped image, no copy.
+func (c *IncrementalCheckpointer) SweepQuiesced(id RegionID, off, n uint64) error {
+	return c.sweep(id, off, n, false)
+}
+
+func (c *IncrementalCheckpointer) sweep(id RegionID, off, n uint64, copied bool) error {
 	if !c.concurrent {
-		return errors.New("rvm: SweepRange without BeginConcurrent")
+		return errors.New("rvm: sweep without BeginConcurrent")
 	}
 	reg := c.r.Region(id)
 	if reg == nil {
@@ -456,8 +468,11 @@ func (c *IncrementalCheckpointer) SweepRange(id RegionID, off, n uint64) error {
 		if stop > end {
 			stop = end
 		}
-		buf := append(bufpool.Get(int(stop-at)), reg.Bytes()[at:stop]...)
-		c.queue(uint32(id), int64(at), buf, true)
+		data := reg.Bytes()[at:stop]
+		if copied {
+			data = append(bufpool.Get(len(data)), data...)
+		}
+		c.queue(uint32(id), int64(at), data, copied)
 		at = stop
 	}
 	ps := uint64(c.pageSize)
@@ -518,8 +533,8 @@ func (c *IncrementalCheckpointer) ResweepDirty() (int, error) {
 // same quiesce as ResweepDirty, with no commits in flight. It returns
 // the marker's physical offset (the recovery cut) and the *logical*
 // offset just past it — the head-trim point, expressed as a LogCut
-// value so applying it via TrimLogHeadLogical composes with trims by
-// concurrent coordinators.
+// value so applying it via TrimLogHeadLogical composes with any trim
+// applied in between.
 func (c *IncrementalCheckpointer) FinishQuiesced() (markerAt, end int64, err error) {
 	if !c.concurrent {
 		return 0, 0, errors.New("rvm: FinishQuiesced without BeginConcurrent")
@@ -579,10 +594,10 @@ func (r *RVM) TrimLogHead(upTo int64) error {
 
 // TrimLogHeadLogical trims the log head to the given logical cut (a
 // LogCut or checkpoint-marker end value), rebasing it against bytes
-// already trimmed. Concurrent checkpoints may each trim the same log:
+// already trimmed. Several trims may be pending against the same log:
 // whichever applies later removes only the bytes still below its own
-// cut, so a cut recorded before another coordinator's trim can never
-// delete records appended after it was recorded. A cut at or below the
+// cut, so a cut recorded before another trim can never delete records
+// appended after it was recorded. A cut at or below the
 // current head is a no-op.
 func (r *RVM) TrimLogHeadLogical(cut int64) error {
 	r.mu.Lock()

@@ -141,10 +141,10 @@ func TestDirStorePageWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StorePage(1, 4096, []byte("page one")); err != nil {
+	if err := s.StorePages(1, []PageWrite{{Off: 4096, Data: []byte("page one")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StorePage(1, 0, []byte("page zero")); err != nil {
+	if err := s.StorePages(1, []PageWrite{{Off: 0, Data: []byte("page zero")}}); err != nil {
 		t.Fatal(err)
 	}
 	img, err := s.LoadRegion(1)

@@ -230,11 +230,6 @@ func (c *Client) StoreRegion(id uint32, data []byte) error {
 	return err
 }
 
-// StorePage implements rvm.PageStore: a batch of one.
-func (c *Client) StorePage(id uint32, off int64, data []byte) error {
-	return c.StorePages(id, []rvm.PageWrite{{Off: off, Data: data}})
-}
-
 // StorePages implements rvm.PageStore: the whole batch travels in one
 // request, so a checkpoint sweep costs round trips per batch, not per
 // page — and never a read of the image it is updating.

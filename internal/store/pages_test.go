@@ -35,7 +35,7 @@ func TestStorePagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.StorePage(7, 0, []byte("#")); err != nil {
+	if err := cli.StorePages(7, []rvm.PageWrite{{Off: 0, Data: []byte("#")}}); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte("#1aZ456789\x00\x00tail")
