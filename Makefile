@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint cover test race chaos crashpoints lbcload-smoke bench bench-commit bench-check bench-apply bench-apply-check bench-recover bench-recover-check bench-store bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
+.PHONY: all build vet lint cover test race chaos crashpoints lbcload-smoke bench bench-commit bench-check bench-recover bench-recover-check bench-store bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
 
 # Total coverage floor enforced by `make cover` (CI's coverage job).
 COVER_MIN ?= 70
@@ -72,17 +72,8 @@ bench-commit:
 bench-check:
 	$(GO) run ./cmd/commitbench -check -baseline BENCH_commit.json
 
-# Peer-apply throughput sweep: serial applier vs the dependency-
-# scheduled parallel pipeline across disjoint lock-chain counts.
-bench-apply:
-	$(GO) run ./cmd/applybench -o BENCH_apply.json
-
-# Regression gate for the apply pipeline (80% of baseline best speedup).
-bench-apply-check:
-	$(GO) run ./cmd/applybench -check -baseline BENCH_apply.json
-
-# Recovery-time sweep: cold log vs checkpoint-marker log, serial vs
-# parallel install, over one committed history.
+# Recovery-time sweep: cold log vs checkpoint-marker log over one
+# committed history.
 bench-recover:
 	$(GO) run ./cmd/recoverbench -o BENCH_recover.json
 

@@ -355,6 +355,16 @@ func chaosPartitionHeal(seed int64) (*ChaosReport, error) {
 			rep.Commits++
 		}
 	}
+	// Those commits only queued their updates on the per-peer senders.
+	// Heal once a sender has actually run into the partition, or the
+	// scenario may never exercise it.
+	deadline := time.Now().Add(15 * time.Second)
+	for inj.Stats()["partitioned_sends"] == 0 {
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("partition never blocked a send")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	inj.Heal()
 
 	// Phase C: full rotation again; node 1's first acquires pull the
@@ -989,7 +999,7 @@ func chaosStoreQuorumFailover(seed int64) (*ChaosReport, error) {
 	// replica must hold byte-identical state — including the
 	// replacement that started empty.
 	c.QuiesceQuorum()
-	digests, err := c.QuorumAdmin().VerifyReplicas(4)
+	digests, err := c.QuorumAdmin().VerifyReplicas()
 	if err != nil {
 		return nil, err
 	}

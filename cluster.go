@@ -44,7 +44,6 @@ type clusterConfig struct {
 	sendStall    time.Duration
 	traceCap     int
 	applyWorkers int
-	serialApply  bool
 	member       *MembershipOptions
 	migrate      bool
 	interest     bool
@@ -216,12 +215,6 @@ func WithTracing(capacity int) Option {
 // install concurrently; each chain keeps its §3.4 order.
 func WithApplyWorkers(k int) Option {
 	return func(c *clusterConfig) { c.applyWorkers = k }
-}
-
-// WithSerialApply restores the pre-pipeline single-goroutine applier on
-// every node (the ablation baseline for the parallel apply pipeline).
-func WithSerialApply() Option {
-	return func(c *clusterConfig) { c.serialApply = true }
 }
 
 // WithMembership gives every node a heartbeat failure detector and an
@@ -572,7 +565,6 @@ func (c *Cluster) startNode(i int, restart bool) error {
 		SendWindow:       cfg.sendWindow,
 		SendStallTimeout: cfg.sendStall,
 		ApplyWorkers:     cfg.applyWorkers,
-		SerialApply:      cfg.serialApply,
 		Membership:       mon,
 	})
 	if err != nil {

@@ -1,9 +1,8 @@
 // Command recoverbench measures crash-recovery time over one committed
-// history in four modes — cold log vs checkpoint-marker log, serial vs
-// parallel install — writing the results to BENCH_recover.json. The
-// checkpointed runs must position replay at the durable marker and
-// replay only the tail (structural gate), and all four modes must
-// recover byte-identical images.
+// history from a cold log and from a checkpoint-marker log, writing the
+// results to BENCH_recover.json. The checkpointed run must position
+// replay at the durable marker and replay only the tail (structural
+// gate), and both must recover byte-identical images.
 package main
 
 import (
@@ -18,8 +17,7 @@ func main() {
 	out := flag.String("o", "BENCH_recover.json", "output JSON path")
 	records := flag.Int("records", 4096, "committed records in the history")
 	payload := flag.Int("payload", 4096, "payload bytes per record")
-	chains := flag.Int("chains", 8, "disjoint lock chains (parallel install width)")
-	workers := flag.Int("workers", 4, "install workers for the parallel runs")
+	chains := flag.Int("chains", 8, "disjoint lock chains the history rotates across")
 	cut := flag.Float64("cut", 0.9, "fraction of records below the checkpoint marker")
 	check := flag.Bool("check", false, "regression gate: compare against -baseline and exit nonzero on regression")
 	baseline := flag.String("baseline", "BENCH_recover.json", "baseline JSON for -check")
@@ -27,7 +25,7 @@ func main() {
 	flag.Parse()
 
 	run := func() *bench.RecoverBench {
-		res, err := bench.RunRecoverBench(*records, *payload, *chains, *workers, *cut)
+		res, err := bench.RunRecoverBench(*records, *payload, *chains, *cut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "recoverbench:", err)
 			os.Exit(1)
@@ -78,11 +76,8 @@ func main() {
 func printRecover(res *bench.RecoverBench) {
 	fmt.Printf("history: %d records x %dB over %d chains, log %d bytes, tail %d records\n",
 		res.Records, res.Payload, res.Chains, res.LogBytes, res.TailRecords)
-	fmt.Printf("%14s %12s\n", "mode", "recover ms")
-	fmt.Printf("%14s %12.2f\n", "cold-serial", res.ColdSerialMS)
-	fmt.Printf("%14s %12.2f\n", "cold-parallel", res.ColdParallelMS)
-	fmt.Printf("%14s %12.2f\n", "ckpt-serial", res.CkptSerialMS)
-	fmt.Printf("%14s %12.2f\n", "ckpt-parallel", res.CkptParallelMS)
-	fmt.Printf("checkpoint benefit %.2fx, parallel speedup %.2fx\n",
-		res.CkptBenefit, res.ParallelSpeedup)
+	fmt.Printf("%6s %12s\n", "mode", "recover ms")
+	fmt.Printf("%6s %12.2f\n", "cold", res.ColdMS)
+	fmt.Printf("%6s %12.2f\n", "ckpt", res.CkptMS)
+	fmt.Printf("checkpoint benefit %.2fx\n", res.CkptBenefit)
 }

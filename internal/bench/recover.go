@@ -14,13 +14,11 @@ import (
 // Recovery-time experiment for checkpoint-bounded replay: the same
 // committed history is recovered from a cold log (no checkpoint: every
 // record replays from offset 0) and from a checkpointed log (a durable
-// marker at the cut makes all but the tail redundant), each with the
-// serial and the dependency-scheduled parallel installer. The committed
-// state is identical in all four runs, so every recovered image must
-// match byte for byte — the run fails otherwise. The headline numbers
-// are the cold/checkpointed ratio (the marker's tail-only replay win at
-// fixed log size) and the serial/parallel ratio (the install
-// parallelism win across disjoint lock chains).
+// marker at the cut makes all but the tail redundant). The committed
+// state is identical in both runs, so the recovered images must match
+// byte for byte — the run fails otherwise. The headline number is the
+// cold/checkpointed ratio (the marker's tail-only replay win at fixed
+// log size).
 
 // RecoverBench is the BENCH_recover.json document.
 type RecoverBench struct {
@@ -28,35 +26,31 @@ type RecoverBench struct {
 	Records int    `json:"records"`
 	Payload int    `json:"payload_bytes"`
 	Chains  int    `json:"chains"`
-	Workers int    `json:"workers"`
 
 	LogBytes    int64 `json:"log_bytes"`    // cold log size
 	TailRecords int   `json:"tail_records"` // records above the marker
 	SkippedRecs int   `json:"skipped_recs"` // records below the marker
 	ReplayFrom  int64 `json:"replay_from"`  // marker cut in the ckpt log
 
-	ColdSerialMS   float64 `json:"cold_serial_ms"`
-	ColdParallelMS float64 `json:"cold_parallel_ms"`
-	CkptSerialMS   float64 `json:"ckpt_serial_ms"`
-	CkptParallelMS float64 `json:"ckpt_parallel_ms"`
+	ColdMS float64 `json:"cold_ms"`
+	CkptMS float64 `json:"ckpt_ms"`
 
-	CkptBenefit     float64 `json:"ckpt_benefit"`     // cold-serial / ckpt-serial
-	ParallelSpeedup float64 `json:"parallel_speedup"` // cold-serial / cold-parallel
+	CkptBenefit float64 `json:"ckpt_benefit"` // cold / ckpt
 }
 
 // recoverSpan is the bytes of region each lock chain's writes cover.
 const recoverSpan = 256 << 10
 
 // RunRecoverBench builds one committed history, derives the cold and
-// checkpointed logs from it, and times the four recovery modes.
-// cutFrac is the fraction of records below the checkpoint marker.
-func RunRecoverBench(records, payload, chains, workers int, cutFrac float64) (*RecoverBench, error) {
+// checkpointed logs from it, and times the recovery of each. cutFrac is
+// the fraction of records below the checkpoint marker.
+func RunRecoverBench(records, payload, chains int, cutFrac float64) (*RecoverBench, error) {
 	if chains < 1 || records < chains {
 		return nil, fmt.Errorf("bench: need records >= chains >= 1, got %d/%d", records, chains)
 	}
 	out := &RecoverBench{
 		Bench: "recover", Records: records, Payload: payload,
-		Chains: chains, Workers: workers,
+		Chains: chains,
 	}
 
 	recs, encoded := buildRecoverHistory(records, payload, chains)
@@ -101,17 +95,14 @@ func RunRecoverBench(records, payload, chains, workers int, cutFrac float64) (*R
 	ckptDev := deviceFrom(ckptBuf)
 
 	type mode struct {
-		name    string
-		dev     *wal.MemDevice
-		image   []byte // pre-checkpointed permanent image, nil for cold
-		workers int
-		ms      *float64
+		name  string
+		dev   *wal.MemDevice
+		image []byte // pre-checkpointed permanent image, nil for cold
+		ms    *float64
 	}
 	modes := []mode{
-		{"cold-serial", coldDev, nil, 1, &out.ColdSerialMS},
-		{"cold-parallel", coldDev, nil, workers, &out.ColdParallelMS},
-		{"ckpt-serial", ckptDev, ckptImage, 1, &out.CkptSerialMS},
-		{"ckpt-parallel", ckptDev, ckptImage, workers, &out.CkptParallelMS},
+		{"cold", coldDev, nil, &out.ColdMS},
+		{"ckpt", ckptDev, ckptImage, &out.CkptMS},
 	}
 	var wantSum [sha256.Size]byte
 	for i, m := range modes {
@@ -123,7 +114,7 @@ func RunRecoverBench(records, payload, chains, workers int, cutFrac float64) (*R
 				store.StoreRegion(1, m.image)
 			}
 			start := time.Now()
-			res, err := rvm.Recover(m.dev, store, rvm.RecoverOptions{Workers: m.workers})
+			res, err := rvm.Recover(m.dev, store, rvm.RecoverOptions{})
 			elapsed := time.Since(start).Seconds() * 1000
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", m.name, err)
@@ -151,7 +142,7 @@ func RunRecoverBench(records, payload, chains, workers int, cutFrac float64) (*R
 					return nil, fmt.Errorf("bench: %s: %w", m.name, err)
 				}
 				// Cold recovery sizes the image by the highest written
-				// byte; pad so all modes digest the same shape.
+				// byte; pad so both modes digest the same shape.
 				if len(img) < regionSize {
 					img = append(img, make([]byte, regionSize-len(img))...)
 				}
@@ -166,19 +157,16 @@ func RunRecoverBench(records, payload, chains, workers int, cutFrac float64) (*R
 		}
 	}
 
-	if out.CkptSerialMS > 0 {
-		out.CkptBenefit = out.ColdSerialMS / out.CkptSerialMS
-	}
-	if out.ColdParallelMS > 0 {
-		out.ParallelSpeedup = out.ColdSerialMS / out.ColdParallelMS
+	if out.CkptMS > 0 {
+		out.CkptBenefit = out.ColdMS / out.CkptMS
 	}
 	return out, nil
 }
 
 // buildRecoverHistory fabricates the committed history: records rotate
 // round-robin across chains, each chain a strict write sequence over
-// its own span so the parallel installer can run chains concurrently
-// while later sequences overwrite earlier ones within a chain.
+// its own span, later sequences overwriting earlier ones (the shape of
+// a merged multi-lock log).
 func buildRecoverHistory(records, payload, chains int) ([]*wal.TxRecord, [][]byte) {
 	slots := recoverSpan / payload
 	recs := make([]*wal.TxRecord, 0, records)
@@ -242,10 +230,8 @@ func ReadRecoverBench(path string) (*RecoverBench, error) {
 
 // CheckRecoverBench is the bench-regression gate: the checkpoint's
 // tail-only-replay benefit must hold at frac of the baseline's. The
-// parallel speedup is reported but not gated (small tails make it
-// noise-dominated on shared machines); the structural marker gates in
-// RunRecoverBench already fail a build whose recovery ignores the
-// checkpoint.
+// structural marker gates in RunRecoverBench already fail a build whose
+// recovery ignores the checkpoint.
 func CheckRecoverBench(fresh, baseline *RecoverBench, frac float64) error {
 	if baseline.CkptBenefit <= 0 {
 		return fmt.Errorf("bench: baseline has no checkpoint-benefit data")

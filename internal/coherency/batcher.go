@@ -479,11 +479,7 @@ func (n *Node) dispatchBatch(from netproto.NodeID, frame []byte) {
 				n.decodeError(from)
 				return
 			}
-			if n.serial {
-				n.enqueue(copyRecord(rec))
-			} else {
-				n.enqueue(n.adoptRecord(rec))
-			}
+			n.enqueue(n.adoptRecord(rec))
 		case batchFmtStandard:
 			rec, _, err := wal.DecodeStandard(part[1:])
 			if err != nil {

@@ -183,15 +183,8 @@ type Options struct {
 	SendStallTimeout time.Duration
 	// ApplyWorkers sets the size of the parallel apply worker pool
 	// (default min(GOMAXPROCS, 8)). Records on disjoint per-lock chains
-	// install concurrently; each chain keeps its §3.4 order. 1 still
-	// uses the dependency scheduler with a single worker (O(1) wakeups
-	// instead of the serial applier's parked-list rescans).
+	// install concurrently; each chain keeps its §3.4 order.
 	ApplyWorkers int
-	// SerialApply restores the pre-pipeline receive path: a single
-	// applier goroutine with a rescanned parked list and per-record
-	// copies instead of pooled arenas. Kept as the ablation baseline
-	// for benchmarks and the equivalence tests.
-	SerialApply bool
 	// Membership, when set, wires live failure handling into the node:
 	// the lock manager routes around evicted peers, eviction triggers
 	// token reclaim (see membership.go), and rejoin announcements
@@ -221,11 +214,10 @@ type Node struct {
 	noCompress bool
 	sendWindow int
 	stallTmo   time.Duration
-	serial     bool
 	interestOn bool
 
-	// Parallel apply pipeline (nil when SerialApply). The engine owns
-	// dependency scheduling; the node supplies install/teardown.
+	// Apply pipeline. The engine owns dependency scheduling and the
+	// workers; the node supplies install/teardown.
 	eng *parapply.Engine
 
 	// Pooled arenas backing records adopted from transport buffers, by
@@ -247,8 +239,6 @@ type Node struct {
 	psClosed    bool
 	peerSenders map[netproto.NodeID]*peerSender
 
-	parked atomic.Int64 // applier gauge: records held by the interlock
-
 	// Live membership (nil without Options.Membership). tokInfo /
 	// tokWake collect MsgTokenInfo replies during token reclaim.
 	member  *membership.Monitor
@@ -264,15 +254,14 @@ type Node struct {
 	peersChanged chan struct{}                       // closed+replaced when regionPeers grows
 	readPos      map[uint32]int64                    // lazy: per-peer log read offset
 	versioned    bool
+	buffered     []*wal.TxRecord         // versioned: received, awaiting Accept
 	retention    map[uint32]*lockHistory // piggyback: per-lock record history
 	clusterNodes []netproto.NodeID
 
 	ckpt *ckptState
 
-	applyCh  chan *wal.TxRecord
-	acceptCh chan chan int
+	handMu   sync.Mutex // serializes versioned-buffer hand-overs (handOver)
 	done     chan struct{}
-	wake     chan struct{}
 	wg       sync.WaitGroup
 	closeOne sync.Once
 }
@@ -281,8 +270,8 @@ type Node struct {
 // the range's segment lock is not held by the transaction.
 var ErrLockNotHeld = errors.New("coherency: segment lock not held")
 
-// New creates a coherency node. The node starts its applier goroutine
-// immediately; call Close to stop it.
+// New creates a coherency node. The node starts its apply workers
+// immediately; call Close to stop them.
 func New(opts Options) (*Node, error) {
 	if opts.RVM == nil || opts.Transport == nil {
 		return nil, errors.New("coherency: RVM and Transport are required")
@@ -333,7 +322,6 @@ func New(opts Options) (*Node, error) {
 		noCompress:   opts.NoCompress,
 		sendWindow:   opts.SendWindow,
 		stallTmo:     opts.SendStallTimeout,
-		serial:       opts.SerialApply,
 		interestOn:   opts.InterestRouting,
 		member:       opts.Membership,
 		tokInfo:      map[uint32]map[netproto.NodeID]tokenInfo{},
@@ -349,12 +337,22 @@ func New(opts Options) (*Node, error) {
 		versioned:    opts.Versioned,
 		retention:    map[uint32]*lockHistory{},
 		clusterNodes: append([]netproto.NodeID(nil), opts.Nodes...),
-		applyCh:      make(chan *wal.TxRecord, 256),
-		acceptCh:     make(chan chan int),
 		done:         make(chan struct{}),
-		wake:         make(chan struct{}, 1),
 	}
 	n.locks.SetTracer(n.trace)
+	// The engine exists before any handler is registered: a frame already
+	// queued for a restarting node is dispatched as soon as its handler
+	// is, and the handler submits to the engine.
+	n.eng = parapply.New(parapply.Config{
+		Workers: opts.ApplyWorkers,
+		Applied: n.locks.Applied,
+		Install: n.installRecord,
+		Done:    func(rec *wal.TxRecord, err error) { n.recordDone(rec) },
+		Drop: func(rec *wal.TxRecord) {
+			n.stats.Add(metrics.CtrRecordsStale, 1)
+			n.recordDone(rec)
+		},
+	})
 	n.tr.Handle(MsgUpdate, n.onUpdate)
 	n.tr.Handle(MsgUpdateStd, n.onUpdateStd)
 	n.tr.Handle(MsgMapRegion, n.onMapRegion)
@@ -368,22 +366,6 @@ func New(opts Options) (*Node, error) {
 		n.initMembership()
 	}
 	n.initCheckpoint()
-	n.wg.Add(1)
-	if n.serial {
-		go n.applier()
-	} else {
-		n.eng = parapply.New(parapply.Config{
-			Workers: opts.ApplyWorkers,
-			Applied: n.locks.Applied,
-			Install: n.installRecord,
-			Done:    func(rec *wal.TxRecord, err error) { n.recordDone(rec) },
-			Drop: func(rec *wal.TxRecord) {
-				n.stats.Add(metrics.CtrRecordsStale, 1)
-				n.recordDone(rec)
-			},
-		})
-		go n.scheduler()
-	}
 	// With BatchUpdates the per-peer senders start lazily on first
 	// enqueue toward each peer (see senderFor in batcher.go).
 	return n, nil
@@ -552,11 +534,19 @@ func (n *Node) Close() error {
 		n.locks.Close()
 	})
 	n.wg.Wait()
-	if n.eng != nil {
-		// After the scheduler has exited: nothing submits anymore, so
-		// this drains in-flight installs and discards parked records.
-		n.eng.Close()
+	// Leave versioned mode so a frame still in a transport reader goes
+	// to the closed engine (which drops it) instead of a buffer nobody
+	// will hand over.
+	n.mu.Lock()
+	n.versioned = false
+	buffered := n.buffered
+	n.buffered = nil
+	n.mu.Unlock()
+	for _, rec := range buffered {
+		n.recordDone(rec)
 	}
+	// Drains in-flight installs and discards parked records.
+	n.eng.Close()
 	return nil
 }
 

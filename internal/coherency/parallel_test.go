@@ -13,14 +13,15 @@ import (
 	"lbc/internal/wal"
 )
 
-// Equivalence stress for the parallel apply engine: a randomized
+// Equivalence stress for the apply pipeline: a randomized
 // committed-record stream — per-lock chains, occasional multi-lock
 // records, lock-free per-sender records, duplicated deliveries, and a
-// shuffled delivery order — is played into a serial-applier node and a
-// parallel-pipeline node. Both must converge to byte-identical images:
-// the per-lock interlock (and per-sender FIFO for lock-free records) is
-// the entire ordering contract, so any schedule the engine admits that
-// the serial applier would not produces a divergent image here.
+// shuffled delivery order — is played into a receiving node, whose
+// image must equal the sequential specification: the records copied
+// into a byte slice in the order they were generated. The per-lock
+// interlock (and per-sender FIFO for lock-free records) is the entire
+// ordering contract, so any schedule the engine admits that violates it
+// produces a divergent image here.
 
 const (
 	eqChains   = 4
@@ -33,17 +34,21 @@ const (
 // eqFrame is one scheduled delivery: a pre-encoded update frame and the
 // peer it arrives from.
 type eqFrame struct {
-	from netproto.NodeID
-	buf  []byte
+	from     netproto.NodeID
+	buf      []byte
+	lockFree bool
 }
 
-// buildEquivalenceStream fabricates the stream and its (shuffled,
-// partially duplicated) delivery schedule.
-func buildEquivalenceStream(t *testing.T, rng *rand.Rand, records int) []eqFrame {
+// buildEquivalenceStream fabricates the stream and returns its
+// (shuffled, partially duplicated) delivery schedule together with the
+// records in generation order.
+func buildEquivalenceStream(t *testing.T, rng *rand.Rand, records int) ([]eqFrame, []*wal.TxRecord) {
 	t.Helper()
 	var lockSeq [eqChains]uint64
 	senderTx := map[uint32]uint64{}
 	var frames []eqFrame
+	var recs []*wal.TxRecord
+	lockFree := map[netproto.NodeID][]eqFrame{} // per sender, generation order
 
 	for i := 0; i < records; i++ {
 		sender := uint32(2 + rng.Intn(eqSenders))
@@ -87,25 +92,40 @@ func buildEquivalenceStream(t *testing.T, rng *rand.Rand, records int) []eqFrame
 		if err != nil {
 			t.Fatalf("encode record %d: %v", i, err)
 		}
-		frames = append(frames, eqFrame{from: netproto.NodeID(sender), buf: enc})
+		f := eqFrame{from: netproto.NodeID(sender), buf: enc, lockFree: len(rec.Locks) == 0}
+		frames = append(frames, f)
+		recs = append(recs, rec)
+		if f.lockFree {
+			lockFree[f.from] = append(lockFree[f.from], f)
+		}
 	}
 
-	// Shuffled schedule with duplicated deliveries sprinkled in.
+	// Shuffled schedule. Lock-free records have no ordering but their
+	// sender's FIFO, which a transport preserves, so each sender's
+	// lock-free frames keep their generation order within the shuffle.
 	sched := append([]eqFrame(nil), frames...)
 	rng.Shuffle(len(sched), func(i, j int) { sched[i], sched[j] = sched[j], sched[i] })
+	for i, f := range sched {
+		if f.lockFree {
+			sched[i] = lockFree[f.from][0]
+			lockFree[f.from] = lockFree[f.from][1:]
+		}
+	}
+	// Duplicated deliveries sprinkled in, each somewhere after a first
+	// delivery of the same frame.
 	for i := 0; i < len(frames)/10; i++ {
-		dup := sched[rng.Intn(len(sched))]
-		at := rng.Intn(len(sched) + 1)
+		orig := rng.Intn(len(sched))
+		at := orig + 1 + rng.Intn(len(sched)-orig)
 		sched = append(sched, eqFrame{})
 		copy(sched[at+1:], sched[at:])
-		sched[at] = dup
+		sched[at] = sched[orig]
 	}
-	return sched
+	return sched, recs
 }
 
 // playStream drives the schedule into a fresh receiving node and
 // returns the final image.
-func playStream(t *testing.T, sched []eqFrame, serial bool) []byte {
+func playStream(t *testing.T, sched []eqFrame, workers int) []byte {
 	t.Helper()
 	hub := netproto.NewHub()
 	r, err := rvm.Open(rvm.Options{Node: 1})
@@ -113,15 +133,11 @@ func playStream(t *testing.T, sched []eqFrame, serial bool) []byte {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	opts := Options{
+	n, err := New(Options{
 		RVM: r, Transport: hub.Endpoint(1),
-		Nodes:       []netproto.NodeID{1, 2, 3},
-		SerialApply: serial,
-	}
-	if !serial {
-		opts.ApplyWorkers = 4
-	}
-	n, err := New(opts)
+		Nodes:        []netproto.NodeID{1, 2, 3},
+		ApplyWorkers: workers,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +163,26 @@ func playStream(t *testing.T, sched []eqFrame, serial bool) []byte {
 
 func TestParallelApplierMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			sched := buildEquivalenceStream(t, rng, 150)
-			serialImg := playStream(t, sched, true)
-			parallelImg := playStream(t, sched, false)
-			if !bytes.Equal(serialImg, parallelImg) {
-				for i := range serialImg {
-					if serialImg[i] != parallelImg[i] {
-						t.Fatalf("images diverge at byte %d: serial %02x parallel %02x",
-							i, serialImg[i], parallelImg[i])
+		rng := rand.New(rand.NewSource(seed))
+		sched, recs := buildEquivalenceStream(t, rng, 150)
+		want := make([]byte, eqRegionSz)
+		for _, rec := range recs {
+			for _, r := range rec.Ranges {
+				copy(want[r.Off:], r.Data)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("seed%d/workers%d", seed, workers), func(t *testing.T) {
+				got := playStream(t, sched, workers)
+				if !bytes.Equal(got, want) {
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("image diverges from the sequential order at byte %d: got %02x want %02x",
+								i, got[i], want[i])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -2,10 +2,12 @@ package coherency
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"lbc/internal/bufpool"
+	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/rvm"
 	"lbc/internal/wal"
@@ -13,12 +15,11 @@ import (
 
 // Buffer-ownership tests for the pooled receive path: once
 // DeliverUpdate returns, the caller may mutate or recycle its frame
-// buffer freely — the record has been copied out (into a pooled arena
-// on the parallel path, a plain copy on the serial path), even while
-// the record sits parked waiting for a predecessor.
+// buffer freely — the record has been copied out into a pooled arena,
+// even while the record sits parked waiting for a predecessor.
 
 // newPoolReceiver builds a single-chain receiving node.
-func newPoolReceiver(t *testing.T, serial bool) (*Node, *rvm.Region) {
+func newPoolReceiver(t *testing.T) (*Node, *rvm.Region) {
 	t.Helper()
 	hub := netproto.NewHub()
 	r, err := rvm.Open(rvm.Options{Node: 1})
@@ -26,15 +27,11 @@ func newPoolReceiver(t *testing.T, serial bool) (*Node, *rvm.Region) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	opts := Options{
+	n, err := New(Options{
 		RVM: r, Transport: hub.Endpoint(1),
-		Nodes:       []netproto.NodeID{1, 2, 3},
-		SerialApply: serial,
-	}
-	if !serial {
-		opts.ApplyWorkers = 2
-	}
-	n, err := New(opts)
+		Nodes:        []netproto.NodeID{1, 2, 3},
+		ApplyWorkers: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +60,12 @@ func chainFrame(t *testing.T, sender uint32, txSeq, seq uint64, off uint64, data
 	return enc
 }
 
-// testReceiveBufferIsolation delivers an out-of-order record (which
+// TestReceiveBufferIsolation delivers an out-of-order record (which
 // parks, holding its copy), then scribbles over and recycles the frame
 // while the record is still parked. The installed bytes must be the
 // originals.
-func testReceiveBufferIsolation(t *testing.T, serial bool) {
-	n, reg := newPoolReceiver(t, serial)
+func TestReceiveBufferIsolation(t *testing.T) {
+	n, reg := newPoolReceiver(t)
 
 	p1 := bytes.Repeat([]byte{0x11}, 256)
 	p2 := bytes.Repeat([]byte{0x22}, 256)
@@ -103,14 +100,11 @@ func testReceiveBufferIsolation(t *testing.T, serial bool) {
 	}
 }
 
-func TestReceiveBufferIsolationParallel(t *testing.T) { testReceiveBufferIsolation(t, false) }
-func TestReceiveBufferIsolationSerial(t *testing.T)   { testReceiveBufferIsolation(t, true) }
-
-// TestArenaRecycledAfterInstall checks that the parallel path actually
+// TestArenaRecycledAfterInstall checks that the receive path actually
 // returns record arenas to the pool once records reach a terminal
 // state (the zero-copy claim is recycling, not just copying less).
 func TestArenaRecycledAfterInstall(t *testing.T) {
-	n, reg := newPoolReceiver(t, false)
+	n, reg := newPoolReceiver(t)
 	_, _, putsBefore := bufpool.Stats()
 
 	const records = 50
@@ -132,5 +126,122 @@ func TestArenaRecycledAfterInstall(t *testing.T) {
 	// (the frames alone), not 2×.
 	if delta := putsAfter - putsBefore; delta < 2*records {
 		t.Fatalf("expected >= %d pool puts (arena recycling), got %d", 2*records, delta)
+	}
+}
+
+// TestSetVersionedWhileDelivering leaves the versioned read model while
+// frames arrive. A record that lands in the buffer just as the flag
+// clears has nobody left to hand it over, so every round must end with
+// the pipeline empty and every record of the round in the image.
+func TestSetVersionedWhileDelivering(t *testing.T) {
+	n, reg := newPoolReceiver(t)
+	const rounds, perRound, slot = 100, 32, 128
+	var seq uint64
+	for r := 0; r < rounds; r++ {
+		n.SetVersioned(true)
+		first := seq + 1
+		frames := make([][]byte, perRound)
+		for i := range frames {
+			seq++
+			frames[i] = chainFrame(t, 2, seq, seq, (seq%perRound)*slot, bytes.Repeat([]byte{byte(seq)}, slot))
+		}
+		delivered := make(chan struct{})
+		go func() {
+			defer close(delivered)
+			for _, f := range frames {
+				n.DeliverUpdate(2, f)
+			}
+		}()
+		n.SetVersioned(false)
+		<-delivered
+		if err := n.Quiesce(5 * time.Second); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if d := n.ApplyQueueDepth(); d != 0 {
+			t.Fatalf("round %d: apply queue depth %d after Quiesce", r, d)
+		}
+		for s := first; s <= seq; s++ {
+			if got := reg.Bytes()[(s%perRound)*slot]; got != byte(s) {
+				t.Fatalf("round %d: record %d missing from the image (slot holds %02x)", r, s, got)
+			}
+		}
+	}
+}
+
+// eagerTransport hands a frame to the update handler the moment it is
+// registered, as a transport does for a restarting node whose peers
+// already have frames queued for it.
+type eagerTransport struct {
+	netproto.Transport
+	frame []byte
+}
+
+func (e eagerTransport) Handle(typ uint8, h netproto.Handler) {
+	e.Transport.Handle(typ, h)
+	if typ == MsgUpdate {
+		h(2, e.frame)
+	}
+}
+
+// TestHandlersRegisteredAfterEngine: the update handlers submit to the
+// apply engine, so New must have built it before it registers them.
+func TestHandlersRegisteredAfterEngine(t *testing.T) {
+	r, err := rvm.Open(rvm.Options{Node: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	frame := chainFrame(t, 2, 1, 1, 0, []byte("early"))
+	n, err := New(Options{
+		RVM:       r,
+		Transport: eagerTransport{netproto.NewHub().Endpoint(1), frame},
+		Nodes:     []netproto.NodeID{1, 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	// No region is mapped yet, so the install fails; what matters is that
+	// the record went through the pipeline to a terminal state.
+	if err := n.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Stats().Counter(metrics.CtrUpdateFramesRecv); got != 1 {
+		t.Fatalf("update frames received = %d, want 1", got)
+	}
+}
+
+// TestNodeCloseStopsGoroutines: everything New starts (apply workers,
+// lock manager, checkpoint state) is gone once Close returns.
+func TestNodeCloseStopsGoroutines(t *testing.T) {
+	r, err := rvm.Open(rvm.Options{Node: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tr := netproto.NewHub().Endpoint(1)
+	base := runtime.NumGoroutine()
+
+	n, err := New(Options{RVM: r, Transport: tr, Nodes: []netproto.NodeID{1, 2}, ApplyWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.MapRegion(1, 4096); err != nil {
+		t.Fatal(err)
+	}
+	n.AddSegment(Segment{LockID: 0, Region: 1, Off: 0, Len: 4096})
+	n.DeliverUpdate(2, chainFrame(t, 2, 1, 1, 0, []byte("applied")))
+	n.DeliverUpdate(2, chainFrame(t, 2, 3, 3, 0, []byte("parked"))) // predecessor never arrives
+	waitFor(t, func() bool { return n.Parked() == 1 })
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

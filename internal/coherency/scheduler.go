@@ -12,47 +12,142 @@ import (
 	"lbc/internal/wal"
 )
 
-// scheduler feeds the parallel apply engine (the replacement for the
-// serial applier goroutine): it forwards admitted records to the
-// dependency scheduler and implements the versioned read model by
-// holding records back until Accept.
-func (n *Node) scheduler() {
-	defer n.wg.Done()
-	var buffered []*wal.TxRecord // versioned mode: awaiting Accept
-
-	versioned := func() bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.versioned
+// onUpdate handles an incoming compressed coherency record. The
+// transport owns the payload buffer, so the decoded record's range data
+// (which aliases it) moves to a pooled arena before the record enters
+// the apply pipeline.
+func (n *Node) onUpdate(from netproto.NodeID, payload []byte) {
+	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
+	rec, err := wal.DecodeCompressed(payload)
+	if err != nil {
+		n.decodeError(from)
+		return
 	}
+	n.enqueue(n.adoptRecord(rec))
+}
 
+// onUpdateStd handles a standard-encoded record (header ablation mode).
+func (n *Node) onUpdateStd(from netproto.NodeID, payload []byte) {
+	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
+	rec, _, err := wal.DecodeStandard(payload)
+	if err != nil {
+		n.decodeError(from)
+		return
+	}
+	n.enqueue(rec) // DecodeStandard already copies data
+}
+
+// decodeError counts a malformed update frame, both in aggregate and
+// attributed to the sending node (a persistently garbling peer shows up
+// by name in /debug/lbc instead of as an anonymous total).
+func (n *Node) decodeError(from netproto.NodeID) {
+	n.stats.Add(metrics.CtrDecodeErrors, 1)
+	n.stats.Add(metrics.DecodeErrorsFrom(uint32(from)), 1)
+}
+
+// enqueue admits a record to the apply pipeline, on the goroutine that
+// decoded it: the versioned read model holds it for Accept, otherwise it
+// goes straight to the dependency scheduler, which parks it until its
+// per-lock predecessors have been applied (§3.4) and installs it on a
+// worker. Submit only classifies the record, so the caller (a transport
+// reader, a pull, a token arrival) never waits on apply progress.
+func (n *Node) enqueue(rec *wal.TxRecord) {
+	n.outstanding.Add(1)
+	n.mu.Lock()
+	if n.versioned {
+		n.buffered = append(n.buffered, rec)
+		n.mu.Unlock()
+		return
+	}
+	n.mu.Unlock()
+	n.eng.Submit(rec)
+}
+
+// copyRecord deep-copies a record whose range data aliases a transient
+// buffer.
+func copyRecord(rec *wal.TxRecord) *wal.TxRecord {
+	cp := &wal.TxRecord{
+		Node:       rec.Node,
+		TxSeq:      rec.TxSeq,
+		Checkpoint: rec.Checkpoint,
+		Locks:      append([]wal.LockRec(nil), rec.Locks...),
+		Ranges:     make([]wal.RangeRec, len(rec.Ranges)),
+	}
+	var total int
+	for _, r := range rec.Ranges {
+		total += len(r.Data)
+	}
+	buf := make([]byte, 0, total)
+	for i, r := range rec.Ranges {
+		start := len(buf)
+		buf = append(buf, r.Data...)
+		cp.Ranges[i] = wal.RangeRec{Region: r.Region, Off: r.Off, Data: buf[start:len(buf):len(buf)]}
+	}
+	return cp
+}
+
+// Parked reports how many received records the apply pipeline currently
+// holds waiting for their per-lock predecessors (the §3.4 interlock).
+// Tests use it as a deterministic signal that an out-of-order record has
+// been processed and parked.
+func (n *Node) Parked() int { return n.eng.Parked() }
+
+// Accept applies all updates buffered in versioned mode (§2.1-2.2: a
+// reader explicitly signals its willingness to move forward to a newer
+// consistent version). It returns the number of records moved into the
+// apply path, after those that can apply have been installed. In
+// non-versioned mode it is a no-op returning 0.
+func (n *Node) Accept() int {
+	n.mu.Lock()
+	v := n.versioned
+	n.mu.Unlock()
+	if !v {
+		return 0
+	}
+	k := n.handOver(false)
+	n.eng.Settle()
+	return k
+}
+
+// SetVersioned switches the versioned read model on or off at runtime.
+// Turning it off flushes the buffered updates first.
+func (n *Node) SetVersioned(v bool) {
+	if v {
+		n.mu.Lock()
+		n.versioned = true
+		n.mu.Unlock()
+		return
+	}
+	if n.handOver(true) > 0 {
+		n.eng.Settle()
+	}
+}
+
+// handOver submits the versioned-mode buffer to the engine and returns
+// how many records it moved. With off set it also leaves versioned mode,
+// in the critical section that finds the buffer empty: a record arriving
+// meanwhile either lands in a buffer that is still handed over, or sees
+// the flag cleared after everything buffered before it was submitted.
+// handMu keeps concurrent hand-overs from interleaving, so lock-free
+// records reach the engine in the per-sender order they arrived in.
+func (n *Node) handOver(off bool) int {
+	n.handMu.Lock()
+	defer n.handMu.Unlock()
+	moved := 0
 	for {
-		select {
-		case rec := <-n.applyCh:
-			if versioned() {
-				buffered = append(buffered, rec)
-				continue
-			}
+		n.mu.Lock()
+		buf := n.buffered
+		n.buffered = nil
+		if off && len(buf) == 0 {
+			n.versioned = false
+		}
+		n.mu.Unlock()
+		for _, rec := range buf {
 			n.eng.Submit(rec)
-
-		case reply := <-n.acceptCh:
-			// Accept (versioned mode): submit the buffered batch and
-			// wait for the engine to settle, so the records that can
-			// apply have actually been installed when Accept returns
-			// (the serial applier's drain-before-reply contract).
-			k := len(buffered)
-			for _, rec := range buffered {
-				n.eng.Submit(rec)
-			}
-			buffered = nil
-			n.eng.Settle()
-			reply <- k
-
-		case <-n.done:
-			for _, rec := range buffered {
-				n.recordDone(rec)
-			}
-			return
+		}
+		moved += len(buf)
+		if !off || len(buf) == 0 {
+			return moved
 		}
 	}
 }
@@ -79,8 +174,8 @@ func (n *Node) installRecord(worker int, rec *wal.TxRecord) error {
 		})
 	}
 	if err != nil {
-		// Do not mark applied: the chain stalls at this record, exactly
-		// like the serial applier (successors stay parked).
+		// Do not mark applied: the chain stalls at this record and its
+		// successors stay parked.
 		n.stats.Add(metrics.CtrApplyErrors, 1)
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"lbc/internal/merge"
 	"lbc/internal/metrics"
 	"lbc/internal/obs"
-	"lbc/internal/parapply"
 	"lbc/internal/rvm"
 	"lbc/internal/wal"
 )
@@ -269,9 +268,7 @@ func (t *Tx) Commit(mode rvm.CommitMode) (*wal.TxRecord, error) {
 				ids = append(ids, g.LockID)
 			}
 		}
-		if len(ids) > 0 {
-			n.pokeLocks(ids)
-		}
+		n.eng.WakeLocks(ids)
 	}
 	return rec, nil
 }
@@ -389,7 +386,7 @@ func (n *Node) pullUpdates(lockID uint32, targetSeq uint64) error {
 				return err
 			}
 		}
-		n.poke()
+		n.eng.WakeAll()
 		if n.locks.AwaitApplied(lockID, targetSeq, pullWindow) {
 			return nil
 		}
@@ -533,7 +530,7 @@ func (n *Node) rescanPeerLogs() {
 		n.readPos[uint32(p)] = pos
 		n.mu.Unlock()
 	}
-	n.poke()
+	n.eng.WakeAll()
 }
 
 // readsPeerLogs reports whether this node ever consumes records from
@@ -672,16 +669,9 @@ func (n *Node) CatchUp() error {
 	if err != nil {
 		return fmt.Errorf("coherency: catch-up merge: %w", err)
 	}
-	// Replay through the dependency scheduler: disjoint chains install
-	// in parallel, each chain in merge order (the same engine the live
-	// receive path uses). Serial mode keeps one worker.
-	workers := 0
-	if n.serial {
-		workers = 1
-	} else if n.eng != nil {
-		workers = n.eng.Workers()
-	}
-	stats, err := parapply.Replay(ordered, workers, func(_ int, rec *wal.TxRecord) error {
+	// merge.Order is a serial order that respects every lock chain, so
+	// installing it in order is the whole algorithm.
+	for _, rec := range ordered {
 		if _, err := n.rvm.ApplyRecord(rec); err != nil {
 			return fmt.Errorf("coherency: catch-up apply %d/%d: %w", rec.Node, rec.TxSeq, err)
 		}
@@ -690,11 +680,7 @@ func (n *Node) CatchUp() error {
 				n.locks.MarkApplied(l.LockID, l.Seq)
 			}
 		}
-		return nil
-	})
-	n.stats.Add(metrics.CtrCatchupRecords, int64(stats.Installed))
-	if err != nil {
-		return err
+		n.stats.Add(metrics.CtrCatchupRecords, 1)
 	}
 	// Re-register interest from this node's own logged history: the
 	// locks it wrote under before going down are the ones whose updates

@@ -370,8 +370,10 @@ const (
 	CtrCatchupRecords    = "catchup_records"    // records replayed at restart
 	CtrTokenPassRetries  = "token_pass_retries" // token passes re-sent after a failure
 
-	// Parallel apply pipeline (coherency scheduler + parapply engine).
-	CtrApplyBackpressure = "apply_backpressure"   // enqueues that blocked on a full apply queue
+	// Apply pipeline (parapply engine). CtrApplyBackpressure is never
+	// incremented — records go straight to the scheduler, there is no
+	// queue to fill — and stays defined for cmd/lbcload, which names it.
+	CtrApplyBackpressure = "apply_backpressure"
 	CtrApplyWorkerBusyNS = "apply_worker_busy_ns" // cumulative worker install time
 
 	// Membership / live failure handling (internal/membership).

@@ -29,9 +29,10 @@
 // install the same bytes concurrently, which is a data race even when
 // the writes are identical.
 //
-// The engine is used online by the coherency layer's receive path and
-// offline by Replay, which drives recovery (rvm) and restart catch-up
-// (coherency.CatchUp) through the same scheduler.
+// The engine is the coherency layer's live receive path. Offline
+// replay (rvm.Recover, coherency.CatchUp) does not use it: a merged log
+// is already a serial order that respects every chain, so it installs
+// in order.
 package parapply
 
 import (
@@ -96,7 +97,7 @@ type Engine struct {
 	waiting    map[uint32][]parkedRec // parked records by blocking lock, ascending prev
 	waitCount  int
 	pending    map[ident]struct{} // identities queued or in flight
-	senderSeq  map[uint32]uint64  // highest installed TxSeq per sender
+	senderSeq  map[uint32]uint64  // highest installed lock-free TxSeq per sender
 	senderBusy map[uint32]bool    // sender has a lock-free record scheduled
 	senderQ    map[uint32][]*wal.TxRecord
 	inflight   int
@@ -130,9 +131,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Workers returns the size of the worker pool.
-func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // Submit hands a record to the scheduler. It classifies the record
 // (ready, parked, sender-queued, or dropped) and returns immediately;
@@ -188,13 +186,16 @@ func (e *Engine) submitLocked(rec *wal.TxRecord, drops []*wal.TxRecord) []*wal.T
 	return drops
 }
 
-// staleLocked mirrors the serial applier's staleness rule: a record
-// that wrote under locks was installed iff every written lock's chain
-// has reached its sequence (chains apply in order); lock-free records
-// fall back to the per-sender high-water mark. The per-sender sequence
-// must NOT be consulted for lock-bearing records — one sender's
-// transactions on unrelated locks may legitimately install out of
-// commit order.
+// staleLocked reports whether the record was already installed
+// (duplicate delivery across paths — eager broadcast, lazy pull, token
+// piggyback). A record that wrote under locks was installed iff every
+// written lock's chain has reached its sequence (chains apply in
+// order); the check matters for correctness, not just economy, because
+// re-installing an old record after its successor would resurrect
+// overwritten bytes. Lock-free records fall back to the per-sender
+// high-water mark. The per-sender sequence must NOT be consulted for
+// lock-bearing records — one sender's transactions on unrelated locks
+// may legitimately install out of commit order.
 func (e *Engine) staleLocked(rec *wal.TxRecord) bool {
 	wrote := false
 	for _, l := range rec.Locks {
@@ -301,11 +302,14 @@ func (e *Engine) worker(id int) {
 // and wakes exactly the waiters parked on the record's written locks.
 func (e *Engine) completeLocked(rec *wal.TxRecord, err error) []*wal.TxRecord {
 	delete(e.pending, ident{rec.Node, rec.TxSeq})
-	if err == nil && rec.TxSeq > e.senderSeq[rec.Node] {
-		e.senderSeq[rec.Node] = rec.TxSeq
-	}
 	var drops []*wal.TxRecord
 	if !wroteLocks(rec) {
+		// Only lock-free installs move the sender's high-water mark: a
+		// lock-bearing record from the same sender may overtake a queued
+		// lock-free one on another worker, and must not make it stale.
+		if err == nil && rec.TxSeq > e.senderSeq[rec.Node] {
+			e.senderSeq[rec.Node] = rec.TxSeq
+		}
 		// Dispatch the sender's next queued record (dropping any that
 		// became stale while queued).
 		q := e.senderQ[rec.Node]
@@ -415,8 +419,7 @@ func (e *Engine) WakeAll() {
 	}
 }
 
-// Parked reports how many records are held by the interlock (the
-// §3.4 gauge the serial applier exposed).
+// Parked reports how many records are held by the §3.4 interlock.
 func (e *Engine) Parked() int { return int(e.parked.Load()) }
 
 // QueueDepth reports records admitted but not yet terminal: parked,
@@ -433,8 +436,7 @@ func (e *Engine) QueueDepth() int {
 
 // Settle blocks until no record is ready or in flight (parked records
 // do not count: they are waiting for predecessors that may never
-// arrive, exactly like the serial applier's parked list after a
-// drain). Returns the number of parked records at that point.
+// arrive). Returns the number of parked records at that point.
 func (e *Engine) Settle() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -442,52 +444,6 @@ func (e *Engine) Settle() int {
 		e.stateCond.Wait()
 	}
 	return e.waitCount
-}
-
-// ForceOldest force-dispatches the parked record with the smallest
-// blocked sequence number, bypassing the interlock gate. Offline
-// replay uses it as a stall escape for log sets with chain gaps (a
-// trimmed predecessor); the online path never calls it. Returns false
-// if nothing is parked.
-func (e *Engine) ForceOldest() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var best *wal.TxRecord
-	var bestLock uint32
-	var bestIdx int
-	var bestSeq uint64
-	for lockID, waiters := range e.waiting {
-		for i, pr := range waiters {
-			seq := forceKey(pr.rec)
-			if best == nil || seq < bestSeq {
-				best, bestLock, bestIdx, bestSeq = pr.rec, lockID, i, seq
-			}
-		}
-	}
-	if best == nil {
-		return false
-	}
-	w := e.waiting[bestLock]
-	e.waiting[bestLock] = append(w[:bestIdx], w[bestIdx+1:]...)
-	if len(e.waiting[bestLock]) == 0 {
-		delete(e.waiting, bestLock)
-	}
-	e.waitCount--
-	e.parked.Store(int64(e.waitCount))
-	e.pushReadyLocked(best)
-	return true
-}
-
-// forceKey orders parked records for ForceOldest: the smallest written
-// sequence number, so chains are forced in chain order.
-func forceKey(rec *wal.TxRecord) uint64 {
-	best := ^uint64(0)
-	for _, l := range rec.Locks {
-		if l.Wrote && l.Seq < best {
-			best = l.Seq
-		}
-	}
-	return best
 }
 
 // Close stops the workers after in-flight and ready records finish.

@@ -2,7 +2,6 @@ package parapply
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -218,6 +217,38 @@ func TestLockFreeDuplicateStale(t *testing.T) {
 	}
 }
 
+// A sender's lock-bearing record may overtake its queued lock-free
+// predecessor on another worker; that must not make the lock-free record
+// stale.
+func TestLockBearingDoesNotStaleQueuedLockFree(t *testing.T) {
+	h := newHarness(2)
+	defer h.eng.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	h.fail = func(rec *wal.TxRecord) error {
+		if len(rec.Locks) == 0 && rec.TxSeq == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	h.eng.Submit(freeRec(1, 1)) // in flight, held
+	<-entered
+	h.eng.Submit(freeRec(1, 2))       // queued behind it
+	h.eng.Submit(lockRec(1, 3, 7, 1)) // installs meanwhile on the other worker
+	deadline := time.Now().Add(5 * time.Second)
+	for len(h.installOrder()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("lock-bearing record did not install beside the held one")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	h.waitSettled(t)
+	if got := h.installOrder(); len(got) != 3 {
+		t.Fatalf("installed %v, want all three records", got)
+	}
+}
+
 func TestWakeLocksReleasesWaiter(t *testing.T) {
 	h := newHarness(2)
 	defer h.eng.Close()
@@ -341,91 +372,6 @@ func TestCloseDiscardsParked(t *testing.T) {
 	}
 	if h.eng.Submit(freeRec(1, 1)) {
 		t.Fatal("Submit accepted a record after Close")
-	}
-}
-
-func TestReplayInOrderAndParallel(t *testing.T) {
-	const chains, per = 4, 50
-	var recs []*wal.TxRecord
-	for c := uint32(1); c <= chains; c++ {
-		for seq := uint64(1); seq <= per; seq++ {
-			recs = append(recs, lockRec(c, uint64(c)*1000+seq, c, seq))
-		}
-	}
-	rand.New(rand.NewSource(7)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	var mu sync.Mutex
-	perChain := map[uint32]uint64{}
-	stats, err := Replay(recs, 4, func(w int, rec *wal.TxRecord) error {
-		mu.Lock()
-		defer mu.Unlock()
-		l := rec.Locks[0]
-		if l.Seq != perChain[l.LockID]+1 {
-			return fmt.Errorf("chain %d: seq %d after %d", l.LockID, l.Seq, perChain[l.LockID])
-		}
-		perChain[l.LockID] = l.Seq
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Installed != chains*per || stats.Forced != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestReplaySeedsTrimmedChains(t *testing.T) {
-	// A log trimmed after a checkpoint starts mid-chain: seq 10..12
-	// with PrevWriteSeq 9 at the head. Replay must seed the interlock
-	// and install all three without forcing.
-	var recs []*wal.TxRecord
-	for seq := uint64(10); seq <= 12; seq++ {
-		recs = append(recs, lockRec(1, seq, 3, seq))
-	}
-	stats, err := Replay(recs, 2, func(w int, rec *wal.TxRecord) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Installed != 3 || stats.Forced != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestReplayForcesThroughGap(t *testing.T) {
-	// Interior gap: seq 1 and seq 3 survive, 2 is missing. Replay must
-	// terminate, installing both and counting a forced escape.
-	recs := []*wal.TxRecord{
-		lockRec(1, 1, 3, 1),
-		lockRec(1, 3, 3, 3),
-	}
-	stats, err := Replay(recs, 2, func(w int, rec *wal.TxRecord) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Installed != 2 || stats.Forced != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestReplayDuplicates(t *testing.T) {
-	recs := []*wal.TxRecord{
-		lockRec(1, 1, 3, 1),
-		lockRec(1, 1, 3, 1),
-		lockRec(1, 2, 3, 2),
-	}
-	stats, err := Replay(recs, 2, func(w int, rec *wal.TxRecord) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Installed != 2 || stats.Duplicates != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestReplayReturnsInstallError(t *testing.T) {
-	boom := errors.New("boom")
-	recs := []*wal.TxRecord{lockRec(1, 1, 3, 1)}
-	if _, err := Replay(recs, 2, func(w int, rec *wal.TxRecord) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
 	}
 }
 

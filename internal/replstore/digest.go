@@ -12,10 +12,8 @@ import (
 // Replica digests. Digest summarizes everything that matters about one
 // replica's content: every region image with its version tag, and the
 // recovery outcome of its logs — the per-node logs are merged
-// (deduplicating at-least-once appends) and replayed through the
-// parallel recovery engine (rvm.Recover with workers, which drives
-// internal/parapply.Replay), and the reconstructed images are folded
-// in. Two replicas with equal digests would recover a cluster to the
+// (deduplicating at-least-once appends) and replayed by rvm.Recover,
+// and the reconstructed images are folded in. Two replicas with equal digests would recover a cluster to the
 // same state; the chaos harness uses this to prove a replacement
 // replica caught up to exactly the survivors' state.
 
@@ -45,8 +43,8 @@ func fnvBytes(b []byte) uint64 {
 }
 
 // Digest computes the content digest of a single replica over a plain
-// (non-quorum) client connection. workers sets the replay parallelism.
-func Digest(sc *store.Client, workers int) (uint64, error) {
+// (non-quorum) client connection.
+func Digest(sc *store.Client) (uint64, error) {
 	h := uint64(fnvOffset)
 
 	ids, err := sc.Regions()
@@ -81,7 +79,7 @@ func Digest(sc *store.Client, workers int) (uint64, error) {
 		return 0, err
 	}
 	mem := rvm.NewMemStore()
-	if _, err := rvm.Recover(merged, mem, rvm.RecoverOptions{Workers: workers}); err != nil {
+	if _, err := rvm.Recover(merged, mem, rvm.RecoverOptions{}); err != nil {
 		return 0, err
 	}
 	rids, err := mem.Regions()
@@ -101,14 +99,14 @@ func Digest(sc *store.Client, workers int) (uint64, error) {
 // VerifyReplicas digests every member of the current view. The caller
 // should quiesce writes first; on a settled quorum with no failed
 // members the digests are identical.
-func (c *Client) VerifyReplicas(workers int) (map[string]uint64, error) {
+func (c *Client) VerifyReplicas() (map[string]uint64, error) {
 	out := map[string]uint64{}
 	for _, m := range c.members() {
 		sc, err := c.conn(m)
 		if err != nil {
 			return nil, fmt.Errorf("replstore: digest %s: %w", m, err)
 		}
-		d, err := Digest(sc, workers)
+		d, err := Digest(sc)
 		if err != nil {
 			return nil, fmt.Errorf("replstore: digest %s: %w", m, err)
 		}

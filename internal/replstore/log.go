@@ -82,8 +82,24 @@ func (l *quorumLog) Append(p []byte) (int64, error) {
 		}
 		members := c.members()
 		off := l.nextOff
-		replies := c.fanout(members, func(_ string, sc *store.Client) (any, error) {
-			return sc.AppendLogAt(l.node, off, p)
+		replies := c.fanout(members, func(addr string, sc *store.Client) (any, error) {
+			size, err := sc.AppendLogAt(l.node, off, p)
+			var behind *store.BehindError
+			if errors.As(err, &behind) {
+				// Copy the gap from the freshest replica and place the
+				// record again, here on the replica's own fan-out
+				// goroutine: fanout returns at the first majority, so a
+				// replica that answers "behind" after it would otherwise
+				// never be repaired. The append guard makes the second
+				// attempt idempotent if the copied gap already held the
+				// record.
+				c.stats.Add(metrics.CtrStoreReplicaBehind, 1)
+				if rerr := c.repairLog(l.node, addr); rerr == nil {
+					c.stats.Add(metrics.CtrStoreLogRepairs, 1)
+					size, err = sc.AppendLogAt(l.node, off, p)
+				}
+			}
+			return size, err
 		})
 		lastReplies = replies
 		if successes(replies) < len(members)/2+1 {
@@ -91,33 +107,12 @@ func (l *quorumLog) Append(p []byte) (int64, error) {
 			// from the *longest* replica, which may carry an
 			// unacknowledged tail (a coordinator that died mid-fan-out
 			// persisted a record on a minority). Then the append lands
-			// on that one replica while the majority answers "behind" —
-			// and would answer "behind" on every retry. Repair the
-			// behind responders from the freshest replica before
-			// retrying so a quorum can re-form at this offset.
-			for _, r := range replies {
-				var behind *store.BehindError
-				if errors.As(r.err, &behind) {
-					c.stats.Add(metrics.CtrStoreReplicaBehind, 1)
-					if rerr := c.repairLog(l.node, r.addr); rerr == nil {
-						c.stats.Add(metrics.CtrStoreLogRepairs, 1)
-					}
-				}
-			}
+			// on that one replica while the majority answers "behind";
+			// the repair above lets a quorum re-form at this offset on
+			// the retry.
 			continue
 		}
 		l.nextOff = off + int64(len(p))
-		// Best-effort repair of replicas that answered "behind": copy
-		// the gap from the freshest replica so they rejoin the quorum.
-		for _, r := range replies {
-			var behind *store.BehindError
-			if errors.As(r.err, &behind) {
-				c.stats.Add(metrics.CtrStoreReplicaBehind, 1)
-				if rerr := c.repairLog(l.node, r.addr); rerr == nil {
-					c.stats.Add(metrics.CtrStoreLogRepairs, 1)
-				}
-			}
-		}
 		c.stats.Add(metrics.CtrStoreQuorumWrites, 1)
 		c.stats.Observe(metrics.HistQuorumWriteNS, time.Since(start).Nanoseconds())
 		if c.trace.Enabled() {
@@ -141,9 +136,21 @@ func (c *Client) repairLog(node uint32, addr string) error {
 		return err
 	}
 	for round := 0; round < 4; round++ {
-		_, maxAddr, maxSize, err := c.sizeQuorum(node)
-		if err != nil {
-			return err
+		// Every member is asked, not just the first majority to answer:
+		// the tail may sit on one replica alone (an unacknowledged record
+		// a dead coordinator left behind, which Append learned its offset
+		// from), and a size quorum can miss it.
+		var maxAddr string
+		var maxSize int64
+		for _, r := range c.gatherAll(c.members(), func(_ string, sc *store.Client) (any, error) {
+			return sc.LogDevice(node).Size()
+		}) {
+			if r.err == nil && (maxAddr == "" || r.val.(int64) > maxSize) {
+				maxAddr, maxSize = r.addr, r.val.(int64)
+			}
+		}
+		if maxAddr == "" {
+			return fmt.Errorf("replstore: log %d repair of %s: no replica reported a size", node, addr)
 		}
 		have, err := dst.LogDevice(node).Size()
 		if err != nil {

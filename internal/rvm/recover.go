@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"lbc/internal/parapply"
 	"lbc/internal/wal"
 )
 
@@ -18,11 +17,6 @@ type RecoverOptions struct {
 	// log. Recovery always *ignores* a torn tail; this additionally
 	// repairs the device. Implied by TrimLog.
 	TruncateTorn bool
-	// Workers sets the parallelism of the replay. Records on disjoint
-	// lock chains install concurrently; each chain stays sequential
-	// (internal/parapply). 0 picks a default; 1 degenerates to the
-	// serial log-order replay.
-	Workers int
 	// Quarantine salvages a log with *interior* corruption: damaged
 	// ranges are skipped (reported in RecoverResult.Quarantined) and
 	// every sound record on either side is replayed. The records lost
@@ -73,17 +67,14 @@ type RecoverResult struct {
 // start point — replaying records below an incomplete checkpoint is
 // redundant but harmless (REDO is idempotent).
 //
-// The replay runs through the dependency scheduler (internal/parapply):
-// records on disjoint lock chains install concurrently while each
-// chain keeps its §3.4 sequence order, which is equivalent to the
-// serial log-order replay because only same-chain records can overlap
-// in the address space. In the distributed configuration the log must
-// first be merged from the per-node logs (internal/merge, §3.4).
+// Records install in log order. A single node's log is in commit order,
+// and in the distributed configuration the log must first be merged
+// from the per-node logs (internal/merge, §3.4), which emits a serial
+// order that respects every lock chain; every such order recovers the
+// same image, so no scheduling is needed offline.
 func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResult, error) {
 	// Pass one: stream the whole log to find the last checkpoint marker
-	// and pre-size every image the tail replay touches, so the parallel
-	// install phase never reallocates a region (workers copy into
-	// stable backing arrays).
+	// and size every image the tail replay touches.
 	rc, err := log.Open(0)
 	if err != nil {
 		return nil, fmt.Errorf("rvm: open log for recovery: %w", err)
@@ -143,10 +134,8 @@ func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResul
 		dirty[id] = true
 	}
 
-	// Pass two: stream the tail from the replay start and install. The
-	// records must be collected for the dependency scheduler, but only
-	// the post-checkpoint tail is ever held in memory.
-	var live []*wal.TxRecord
+	// Pass two: stream the tail from the replay start and install each
+	// record as it is decoded.
 	if tailRecords > 0 {
 		rc, err = log.Open(res.ReplayFrom)
 		if err != nil {
@@ -156,7 +145,6 @@ func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResul
 		if opts.Quarantine {
 			sc.Salvage()
 		}
-		live = make([]*wal.TxRecord, 0, tailRecords)
 		for {
 			tx, err := sc.Next()
 			if err == io.EOF {
@@ -169,26 +157,13 @@ func Recover(log wal.Device, data DataStore, opts RecoverOptions) (*RecoverResul
 			if tx.Checkpoint {
 				continue
 			}
-			live = append(live, tx)
+			res.Records++
+			for _, rec := range tx.Ranges {
+				copy(images[rec.Region][rec.Off:rec.End()], rec.Data)
+				res.BytesApplied += len(rec.Data)
+			}
 		}
 		rc.Close()
-	}
-
-	if _, err := parapply.Replay(live, opts.Workers, func(_ int, tx *wal.TxRecord) error {
-		for _, rec := range tx.Ranges {
-			copy(images[rec.Region][rec.Off:rec.End()], rec.Data)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Duplicate identities the scheduler suppressed carried identical
-	// bytes, so count every live record the way serial replay did.
-	res.Records = len(live)
-	for _, tx := range live {
-		for _, rec := range tx.Ranges {
-			res.BytesApplied += len(rec.Data)
-		}
 	}
 
 	for id := range dirty {
