@@ -1,7 +1,9 @@
 package lbc
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"lbc/internal/metrics"
 	"lbc/internal/netproto"
@@ -79,5 +81,52 @@ func TestLockWaitObservable(t *testing.T) {
 	tx2.Commit(NoFlush)
 	if b.Locks().Stats().Counter("lock_wait_ns") <= 0 {
 		t.Fatal("lock wait time not recorded")
+	}
+}
+
+// TestClusterCloseStopsGoroutines: the production configuration, crashed
+// and restarted three times, leaves no goroutine behind once Close
+// returns — no mesh reader, detector, store connection or apply worker.
+func TestClusterCloseStopsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := NewLocalCluster(3, WithTCP(), WithStore(), WithGroupCommit(),
+		WithMembership(MembershipOptions{Interval: 200 * time.Millisecond, SuspectAfter: 2 * time.Second}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MapAll(chaosRegion, chaosLocks*chaosSegLen); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	for l := 0; l < chaosLocks; l++ {
+		c.AddSegmentAll(Segment{LockID: uint32(l), Region: chaosRegion,
+			Off: uint64(l) * chaosSegLen, Len: chaosSegLen})
+	}
+	for round := 0; round < 3; round++ {
+		for l := 0; l < chaosLocks; l++ {
+			if err := chaosWrite(c.Node((round+l)%c.Size()), 1, round, l); err != nil {
+				c.Close()
+				t.Fatal(err)
+			}
+		}
+		if err := c.Crash(2); err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		if err := c.Restart(2); err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before NewLocalCluster:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -3,10 +3,13 @@ package coherency
 import (
 	"errors"
 	"fmt"
+	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lbc/internal/lockmgr"
+	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/rvm"
 	"lbc/internal/store"
@@ -149,6 +152,86 @@ func TestCatchUpThenLiveTraffic(t *testing.T) {
 	got := readUnder(t, nodes[1], 0, 0, 6)
 	if string(got) != "second" {
 		t.Fatalf("after catch-up + live: %q", got)
+	}
+}
+
+// appendAfterOpen is a peer-log device that, once armed, appends one
+// record to the log right after serving an Open(0) — a survivor's commit
+// landing between a catch-up's read and whatever it does next.
+type appendAfterOpen struct {
+	wal.Device
+	armed  *atomic.Bool
+	append func()
+}
+
+func (d appendAfterOpen) Open(from int64) (io.ReadCloser, error) {
+	rc, err := d.Device.Open(from)
+	if err == nil && from == 0 && d.armed.CompareAndSwap(true, false) {
+		d.append()
+	}
+	return rc, err
+}
+
+// TestCatchUpReadPositionIsScanEnd: catch-up must mark as read only what
+// it read. A record node 1 appends just after node 2's catch-up opened
+// its log is not in that read, so node 2's next pull must enqueue it — a
+// plain tail pull, no rescan. With the read position taken from the
+// log's size after the read, the pull starts past the record and finds
+// nothing, and only a full rescan would ever reach it.
+func TestCatchUpReadPositionIsScanEnd(t *testing.T) {
+	var (
+		armed atomic.Bool
+		srv   *store.Server
+	)
+	late := &wal.TxRecord{Node: 1, TxSeq: 99,
+		Ranges: []wal.RangeRec{{Region: 1, Off: 0, Data: []byte("late")}}}
+	nodes, srv := storeCluster(t, 2, 1024, storeClusterOpts{
+		prop: Lazy,
+		peerLog: func(i int, node uint32, dev wal.Device) wal.Device {
+			if i != 1 || node != 1 {
+				return dev
+			}
+			return appendAfterOpen{Device: dev, armed: &armed, append: func() {
+				log, err := srv.Log(1)
+				if err == nil {
+					_, err = log.Append(wal.AppendStandard(nil, late))
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}}
+		},
+	})
+	commitWrite(t, nodes[0], 1, 0, []byte("early"))
+	if err := nodes[0].RVM().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	n := nodes[1]
+	armed.Store(true)
+	if err := n.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if armed.Load() {
+		t.Fatal("test premise broken: catch-up never opened node 1's log")
+	}
+	// Hold pulled records in the versioned buffer so they can be counted.
+	n.SetVersioned(true)
+	if err := n.pullPeerLog(1); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	got := append([]*wal.TxRecord(nil), n.buffered...)
+	n.mu.Unlock()
+	if len(got) != 1 || got[0].Node != late.Node || got[0].TxSeq != late.TxSeq {
+		ids := make([]string, len(got))
+		for i, r := range got {
+			ids[i] = fmt.Sprintf("%d/%d", r.Node, r.TxSeq)
+		}
+		t.Fatalf("pull after catch-up enqueued %v, want exactly the late record 1/99", ids)
+	}
+	if r := n.Stats().Counter(metrics.CtrPullRescans); r != 0 {
+		t.Fatalf("pull_rescans = %d, want 0", r)
 	}
 }
 

@@ -21,11 +21,11 @@ import (
 
 // storeClusterOpts varies storeCluster: the propagation policy, and
 // optional wrappers around a node's image store and around the peer-log
-// devices it reads (fault injection).
+// devices it reads (fault injection; node is the log's owner).
 type storeClusterOpts struct {
 	prop    Propagation
 	data    func(i int, cli *store.Client) rvm.DataStore
-	peerLog func(i int, dev wal.Device) wal.Device
+	peerLog func(i int, node uint32, dev wal.Device) wal.Device
 }
 
 // storeCluster builds k nodes whose logs and database live on a shared
@@ -70,7 +70,7 @@ func storeCluster(t *testing.T, k int, size int, o storeClusterOpts) ([]*Node, *
 			PeerLogs: func(node uint32) wal.Device {
 				dev := cli.LogDevice(node)
 				if o.peerLog != nil {
-					dev = o.peerLog(i, dev)
+					dev = o.peerLog(i, node, dev)
 				}
 				return dev
 			},
@@ -337,7 +337,7 @@ func TestCheckpointLazyFailedDrainWithholdsAck(t *testing.T) {
 	var broken atomic.Bool
 	nodes, _ := storeCluster(t, 2, 1024, storeClusterOpts{
 		prop: Lazy,
-		peerLog: func(i int, dev wal.Device) wal.Device {
+		peerLog: func(i int, _ uint32, dev wal.Device) wal.Device {
 			if i == 1 {
 				return failingLog{Device: dev, broken: &broken}
 			}

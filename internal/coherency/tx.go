@@ -567,20 +567,22 @@ func (n *Node) drainPeerLogs() error {
 const catchUpScanRetries = 3
 
 // readLogRepair reads every record currently on dev, tolerating
-// interior corruption. Each detection is counted
-// (log_corruption_detected) and the read retried against a fresh
-// stream — a transient read-back flip clears on re-read. Damage that
-// survives every retry is salvaged: the corrupt range is quarantined
-// and every sound record on both sides kept. Records recovered from at
-// or past the first damage offset are counted as repaired
-// (repair_records_pulled) — the old treat-corruption-as-end-of-log
-// policy would have silently dropped all of them.
-func (n *Node) readLogRepair(dev wal.Device) ([]*wal.TxRecord, error) {
+// interior corruption, and returns them with the offset just past the
+// last one: exactly what was read, which a survivor's later appends do
+// not move. Each detection is counted (log_corruption_detected) and the
+// read retried against a fresh stream — a transient read-back flip
+// clears on re-read. Damage that survives every retry is salvaged: the
+// corrupt range is quarantined and every sound record on both sides
+// kept. Records recovered from at or past the first damage offset are
+// counted as repaired (repair_records_pulled) — the old
+// treat-corruption-as-end-of-log policy would have silently dropped all
+// of them.
+func (n *Node) readLogRepair(dev wal.Device) ([]*wal.TxRecord, int64, error) {
 	damagedAt := int64(-1)
 	for attempt := 0; ; attempt++ {
 		rc, err := dev.Open(0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		sc := wal.NewScanner(rc, 0)
 		if attempt >= catchUpScanRetries {
@@ -615,11 +617,11 @@ func (n *Node) readLogRepair(dev wal.Device) ([]*wal.TxRecord, error) {
 				}
 				n.stats.Add(metrics.CtrRepairRecords, repaired)
 			}
-			return txs, nil
+			return txs, sc.Pos(), nil
 		}
 		var ice *wal.InteriorCorruptionError
 		if !errors.As(scanErr, &ice) {
-			return nil, scanErr
+			return nil, 0, scanErr
 		}
 		n.stats.Add(metrics.CtrLogCorruption, 1)
 		if damagedAt < 0 {
@@ -644,8 +646,7 @@ func (n *Node) CatchUp() error {
 	}
 	var all []*wal.TxRecord
 	for _, id := range n.clusterNodes {
-		dev := n.peerLogs(uint32(id))
-		txs, err := n.readLogRepair(dev)
+		txs, end, err := n.readLogRepair(n.peerLogs(uint32(id)))
 		if err != nil {
 			return fmt.Errorf("coherency: catch-up scan log %d: %w", id, err)
 		}
@@ -655,15 +656,14 @@ func (n *Node) CatchUp() error {
 			}
 			all = append(all, tx)
 		}
-		// Lazy bookkeeping: everything read here is consumed.
-		sz, err := dev.Size()
-		if err == nil {
-			n.mu.Lock()
-			if sz > n.readPos[uint32(id)] {
-				n.readPos[uint32(id)] = sz
-			}
-			n.mu.Unlock()
+		// Lazy bookkeeping: everything read here is consumed — up to
+		// where the scan ended, not the log's size now, which may already
+		// cover a record appended after the read.
+		n.mu.Lock()
+		if end > n.readPos[uint32(id)] {
+			n.readPos[uint32(id)] = end
 		}
+		n.mu.Unlock()
 	}
 	ordered, err := merge.Order(all)
 	if err != nil {

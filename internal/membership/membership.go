@@ -207,7 +207,8 @@ func (m *Monitor) OnEvict(fn func(peer netproto.NodeID, epoch uint32)) {
 }
 
 // OnRejoin registers the callback fired (in its own goroutine) when an
-// evicted peer is readmitted by a ready Join.
+// evicted peer is readmitted by a ready Join. The joiner is answered
+// once the callback returns.
 func (m *Monitor) OnRejoin(fn func(peer netproto.NodeID, epoch uint32)) {
 	m.mu.Lock()
 	m.onRejoin = fn
@@ -410,7 +411,8 @@ func (m *Monitor) Close() error {
 // current epoch (call before catch-up and follow with SetEpoch). With
 // ready=true it asks every live peer to readmit this node, firing
 // their OnRejoin callbacks; it waits for an answer from each peer it
-// could reach, so on return the survivors agree this node is back.
+// could reach, and a peer answers only after its callback returned, so
+// on return the survivors agree this node is back and have acted on it.
 // Returns the highest epoch any peer reported.
 func (m *Monitor) Join(ready bool, timeout time.Duration) (uint32, error) {
 	var b [5]byte
@@ -541,16 +543,29 @@ func (m *Monitor) onJoin(from netproto.NodeID, payload []byte) {
 			onRejoin = m.onRejoin
 		}
 		m.mu.Unlock()
+		m.Observe(node)
 		if onRejoin != nil {
 			epoch := m.epoch.Load()
 			m.stats.Add(metrics.CtrRejoins, 1)
 			if m.trace.Enabled() {
 				m.trace.Emit(obs.Span{Name: obs.SpanRejoin, Peer: uint32(node), Start: time.Now().UnixNano(), N: int64(epoch)})
 			}
-			go onRejoin(node, epoch)
+			// Answer only after the callback: the rejoiner's Join returns
+			// on the answers, and from then on it must find every survivor
+			// routing to it again (a stale stand-in manager that keeps
+			// queueing requests splits a lock's waiter queue in two).
+			go func() {
+				onRejoin(node, epoch)
+				m.answerJoin(from)
+			}()
+			return
 		}
-		m.Observe(node)
 	}
+	m.answerJoin(from)
+}
+
+// answerJoin tells a joining node the current epoch.
+func (m *Monitor) answerJoin(from netproto.NodeID) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], m.epoch.Load())
 	_ = m.tr.Send(from, MsgJoinOK, b[:])

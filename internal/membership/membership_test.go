@@ -206,6 +206,52 @@ func TestJoinTwoPhase(t *testing.T) {
 	await(t, "rejoin callback", func() bool { return rejoined.Load() == 2 })
 }
 
+// TestReadyJoinWaitsForRejoinCallbacks: a ready Join returns only once
+// every survivor's OnRejoin callback has run. The cluster's Rejoin
+// resumes traffic on that return; a survivor still routing lock requests
+// to the stand-in manager it used while the node was evicted splits that
+// lock's waiter queue and wedges the next acquire.
+func TestReadyJoinWaitsForRejoinCallbacks(t *testing.T) {
+	hub, clk, mons := testMonitors(t, 2, 2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	mons[0].OnRejoin(func(netproto.NodeID, uint32) {
+		close(entered)
+		<-release
+		finished.Store(true)
+	})
+	hub.Drop(2)
+	for tick := 0; tick < 2; tick++ {
+		clk.Advance(600 * time.Millisecond)
+		mons[0].Tick()
+	}
+	if mons[0].Alive(2) {
+		t.Fatal("peer not evicted")
+	}
+	fresh := New(Config{Transport: hub.Endpoint(2), Nodes: []netproto.NodeID{1, 2},
+		Clock: clk, Stats: metrics.NewStats()})
+	defer fresh.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := fresh.Join(true, 5*time.Second)
+		done <- err
+	}()
+	<-entered
+	select {
+	case err := <-done:
+		t.Fatalf("ready Join returned (err=%v) while the survivor's rejoin callback was still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Fatal("ready Join returned before the rejoin callback finished")
+	}
+}
+
 func TestSetEpochIsMonotonic(t *testing.T) {
 	_, _, mons := testMonitors(t, 2, 3)
 	mons[0].SetEpoch(5)

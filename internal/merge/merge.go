@@ -12,8 +12,9 @@
 package merge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lbc/internal/wal"
 )
@@ -62,64 +63,62 @@ func Order(all []*wal.TxRecord) ([]*wal.TxRecord, error) {
 	}
 	all = deduped
 
-	// Group records per lock and sort by that lock's sequence number;
-	// consecutive pairs become ordering edges.
+	// Sort every (lock, sequence) reference once; consecutive references
+	// to the same lock become ordering edges.
 	type ref struct {
-		idx int
-		seq uint64
+		lock uint32
+		seq  uint64
+		idx  int
 	}
-	perLock := map[uint32][]ref{}
+	var refs []ref
 	for i, tx := range all {
 		for _, l := range tx.Locks {
-			perLock[l.LockID] = append(perLock[l.LockID], ref{idx: i, seq: l.Seq})
+			refs = append(refs, ref{lock: l.LockID, seq: l.Seq, idx: i})
 		}
 	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := cmp.Compare(a.lock, b.lock); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 
 	succs := make([][]int, len(all))
 	indeg := make([]int, len(all))
-	for lockID, refs := range perLock {
-		sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
-		for k := 1; k < len(refs); k++ {
-			if refs[k].seq == refs[k-1].seq {
-				a, b := all[refs[k-1].idx], all[refs[k].idx]
-				return nil, fmt.Errorf(
-					"merge: lock %d acquired twice at sequence %d (tx %d/%d and %d/%d): corrupt logs",
-					lockID, refs[k].seq, a.Node, a.TxSeq, b.Node, b.TxSeq)
-			}
-			succs[refs[k-1].idx] = append(succs[refs[k-1].idx], refs[k].idx)
-			indeg[refs[k].idx]++
+	for k := 1; k < len(refs); k++ {
+		prev, cur := refs[k-1], refs[k]
+		if prev.lock != cur.lock {
+			continue
 		}
+		if prev.seq == cur.seq {
+			a, b := all[prev.idx], all[cur.idx]
+			return nil, fmt.Errorf(
+				"merge: lock %d acquired twice at sequence %d (tx %d/%d and %d/%d): corrupt logs",
+				cur.lock, cur.seq, a.Node, a.TxSeq, b.Node, b.TxSeq)
+		}
+		succs[prev.idx] = append(succs[prev.idx], cur.idx)
+		indeg[cur.idx]++
 	}
 
 	// Kahn's algorithm with a deterministic ready heap ordered by
-	// (node, per-node commit seq).
-	less := func(i, j int) bool {
-		if all[i].Node != all[j].Node {
-			return all[i].Node < all[j].Node
-		}
-		return all[i].TxSeq < all[j].TxSeq
-	}
-	var ready []int
-	push := func(i int) {
-		ready = append(ready, i)
-		sort.Slice(ready, func(a, b int) bool { return less(ready[a], ready[b]) })
-	}
+	// (node, per-node commit seq). Identities are unique after the
+	// dedup, so the order is total and the output independent of input
+	// order.
+	ready := readyHeap{all: all}
 	for i := range all {
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			ready.push(i)
 		}
 	}
-	sort.Slice(ready, func(a, b int) bool { return less(ready[a], ready[b]) })
 
 	out := make([]*wal.TxRecord, 0, len(all))
-	for len(ready) > 0 {
-		i := ready[0]
-		ready = ready[1:]
+	for len(ready.idx) > 0 {
+		i := ready.pop()
 		out = append(out, all[i])
 		for _, s := range succs[i] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				push(s)
+				ready.push(s)
 			}
 		}
 	}
@@ -128,6 +127,56 @@ func Order(all []*wal.TxRecord) ([]*wal.TxRecord, error) {
 			len(all)-len(out))
 	}
 	return out, nil
+}
+
+// readyHeap is a binary min-heap of indices into all, ordered by
+// (node, per-node commit seq). It is typed rather than container/heap so
+// a push does not box its index into an interface.
+type readyHeap struct {
+	all []*wal.TxRecord
+	idx []int
+}
+
+func (h *readyHeap) less(a, b int) bool {
+	x, y := h.all[h.idx[a]], h.all[h.idx[b]]
+	if x.Node != y.Node {
+		return x.Node < y.Node
+	}
+	return x.TxSeq < y.TxSeq
+}
+
+func (h *readyHeap) push(i int) {
+	h.idx = append(h.idx, i)
+	for c := len(h.idx) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !h.less(c, p) {
+			break
+		}
+		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
+		c = p
+	}
+}
+
+func (h *readyHeap) pop() int {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, p) {
+			break
+		}
+		h.idx[c], h.idx[p] = h.idx[p], h.idx[c]
+		p = c
+	}
+	return top
 }
 
 // MergeTo merges the inputs and appends the ordered records to out in

@@ -2,7 +2,9 @@ package merge_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -131,6 +133,176 @@ func TestMergeDetectsCycle(t *testing.T) {
 	b := rec(2, 1, []wal.LockRec{lk(1, 2, true), lk(2, 1, true)}, 0, "b")
 	if _, err := merge.Order([]*wal.TxRecord{a, b}); err == nil {
 		t.Fatal("cycle not detected")
+	}
+}
+
+// specOrder is the sequential specification of merge.Order: collapse
+// repeated (node, TxSeq) identities to their first copy, then repeatedly
+// emit the smallest (node, TxSeq) record all of whose locks' lower-Seq
+// holders are already out. Quadratic and obviously right.
+func specOrder(in []*wal.TxRecord) ([]*wal.TxRecord, error) {
+	var recs []*wal.TxRecord
+	seen := map[[2]uint64]bool{}
+	for _, r := range in {
+		if id := [2]uint64{uint64(r.Node), r.TxSeq}; !seen[id] {
+			seen[id] = true
+			recs = append(recs, r)
+		}
+	}
+	held := map[[2]uint64]bool{} // (lock, seq)
+	for _, r := range recs {
+		for _, l := range r.Locks {
+			k := [2]uint64{uint64(l.LockID), l.Seq}
+			if held[k] {
+				return nil, errors.New("duplicate lock sequence")
+			}
+			held[k] = true
+		}
+	}
+	done := make([]bool, len(recs))
+	blocked := func(i int) bool {
+		for _, l := range recs[i].Locks {
+			for j, o := range recs {
+				for _, ol := range o.Locks {
+					if !done[j] && j != i && ol.LockID == l.LockID && ol.Seq < l.Seq {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	var out []*wal.TxRecord
+	for len(out) < len(recs) {
+		best := -1
+		for i, r := range recs {
+			if !done[i] && !blocked(i) && (best < 0 || r.Node < recs[best].Node ||
+				r.Node == recs[best].Node && r.TxSeq < recs[best].TxSeq) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return nil, errors.New("ordering cycle")
+		}
+		done[best] = true
+		out = append(out, recs[best])
+	}
+	return out, nil
+}
+
+// randomRecords plays a serial history on 1–5 nodes (0–3 distinct locks
+// per record, so some are lock-free; per-lock Seqs rise with gaps), then
+// adds copies of some records (same identity, new pointer: whichever
+// comes first must win) and shuffles. With corrupt set it also plants a
+// duplicate Seq or a two-record cycle when it can.
+func randomRecords(r *rand.Rand, corrupt bool) []*wal.TxRecord {
+	nodes, locks := 1+r.Intn(5), 1+r.Intn(6)
+	txSeq := make([]uint64, nodes)
+	lockSeq := make([]uint64, locks)
+	var recs []*wal.TxRecord
+	for k := r.Intn(40); k > 0; k-- {
+		node := r.Intn(nodes)
+		txSeq[node]++
+		rec := &wal.TxRecord{Node: uint32(node + 1), TxSeq: txSeq[node]}
+		for _, l := range r.Perm(locks)[:r.Intn(min(3, locks)+1)] {
+			lockSeq[l] += 1 + uint64(r.Intn(2))
+			rec.Locks = append(rec.Locks, wal.LockRec{LockID: uint32(l), Seq: lockSeq[l], Wrote: r.Intn(2) == 0})
+		}
+		recs = append(recs, rec)
+	}
+	if corrupt {
+		var held []*wal.TxRecord
+		for _, rec := range recs {
+			if len(rec.Locks) > 0 {
+				held = append(held, rec)
+			}
+		}
+		if len(held) >= 2 {
+			a, b := held[r.Intn(len(held))], held[r.Intn(len(held))]
+			if a != b && r.Intn(2) == 0 {
+				// Cycle: b precedes a on lock 1000, a precedes b on 1001.
+				a.Locks = append(a.Locks, wal.LockRec{LockID: 1000, Seq: 2})
+				b.Locks = append(b.Locks, wal.LockRec{LockID: 1000, Seq: 1})
+				a.Locks = append(a.Locks, wal.LockRec{LockID: 1001, Seq: 1})
+				b.Locks = append(b.Locks, wal.LockRec{LockID: 1001, Seq: 2})
+			} else if a != b {
+				b.Locks = append(b.Locks, wal.LockRec{LockID: a.Locks[0].LockID, Seq: a.Locks[0].Seq})
+			}
+		}
+	}
+	for k := r.Intn(4); k > 0 && len(recs) > 0; k-- {
+		cp := *recs[r.Intn(len(recs))]
+		recs = append(recs, &cp)
+	}
+	r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	return recs
+}
+
+// TestOrderMatchesSpecification checks merge.Order against specOrder on
+// random record sets: the same records in the same order, or an error
+// from both.
+func TestOrderMatchesSpecification(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var valid, failed int
+	for iter := 0; iter < 3000; iter++ {
+		in := randomRecords(r, iter%3 == 0)
+		want, werr := specOrder(in)
+		got, gerr := merge.Order(in)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("iter %d: spec err %v, Order err %v", iter, werr, gerr)
+		}
+		if werr != nil {
+			failed++
+			continue
+		}
+		valid++
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: Order emitted %d records, spec %d", iter, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("iter %d: position %d is %d/%d, spec has %d/%d",
+					iter, i, got[i].Node, got[i].TxSeq, want[i].Node, want[i].TxSeq)
+			}
+		}
+	}
+	if valid < 1000 || failed < 300 {
+		t.Fatalf("generator too narrow: %d ordered sets, %d rejected", valid, failed)
+	}
+}
+
+// BenchmarkOrder merges a restart-sized catch-up: 3 nodes, every other
+// record lock-free, the rest spread over 256 locks, input grouped per
+// node log as CatchUp reads it. On a 2-core Xeon host, with the ready
+// list re-sorted on every push (O(N·R)), it took 1.7 / 20 / 215 / 2955 ms
+// at 1.5k / 6k / 24k / 96k records; with the ready heap, 0.33 / 1.4 /
+// 7.4 / 34 ms.
+func BenchmarkOrder(b *testing.B) {
+	for _, n := range []int{1500, 6000, 24000, 96000} {
+		r := rand.New(rand.NewSource(int64(n)))
+		perNode := make([][]*wal.TxRecord, 3)
+		lockSeq := make([]uint64, 256)
+		for k := 0; k < n; k++ {
+			node := k % 3
+			rec := &wal.TxRecord{Node: uint32(node + 1), TxSeq: uint64(len(perNode[node]) + 1)}
+			if k%2 == 0 {
+				l := r.Intn(len(lockSeq))
+				lockSeq[l]++
+				rec.Locks = []wal.LockRec{{LockID: uint32(l), Seq: lockSeq[l], Wrote: true}}
+			}
+			perNode[node] = append(perNode[node], rec)
+		}
+		var in []*wal.TxRecord
+		for _, recs := range perNode {
+			in = append(in, recs...)
+		}
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := merge.Order(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -399,13 +400,7 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		from := int64(binary.LittleEndian.Uint64(body[4:]))
-		rc, err := dev.Open(from)
-		if err != nil {
-			return nil, err
-		}
-		defer rc.Close()
-		return io.ReadAll(rc)
+		return readLog(dev, int64(binary.LittleEndian.Uint64(body[4:])), -1)
 
 	case opTruncateLog:
 		if len(body) != 12 {
@@ -471,17 +466,7 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc, err := dev.Open(int64(binary.LittleEndian.Uint64(body[4:])))
-		if err != nil {
-			return nil, err
-		}
-		defer rc.Close()
-		buf := make([]byte, n)
-		k, err := io.ReadFull(rc, buf)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		return buf[:k], nil
+		return readLog(dev, int64(binary.LittleEndian.Uint64(body[4:])), n)
 
 	default:
 		return nil, fmt.Errorf("store: unknown op %d", op)
@@ -564,8 +549,10 @@ func decodeIDs(b []byte) ([]uint32, error) {
 	return ids, nil
 }
 
-// readMsg reads one length-prefixed message. The buffer grows as data
-// actually arrives (capped chunks), so a hostile length prefix cannot
+// readMsg reads one length-prefixed message. The buffer grows in place
+// as data actually arrives, by at least a chunk and otherwise by
+// append's growth policy, so its size stays within a constant factor of
+// the bytes received plus one chunk: a hostile length prefix cannot
 // force a huge upfront allocation.
 func readMsg(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -577,23 +564,59 @@ func readMsg(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("store: message too large: %d", n)
 	}
 	const chunk = 1 << 20
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	b := make([]byte, 0, first)
+	b := make([]byte, 0, min(n, chunk))
 	for len(b) < n {
-		next := n - len(b)
-		if next > chunk {
-			next = chunk
-		}
 		start := len(b)
-		b = append(b, make([]byte, next)...)
+		b = slices.Grow(b, min(n-start, chunk))
+		b = b[:min(n, cap(b))]
 		if _, err := io.ReadFull(r, b[start:]); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// readLog returns node log bytes from offset from on, at most limit of
+// them (limit < 0: to the end). An in-memory log (wal.MemDevice, an
+// io.ReaderAt) is copied once into an exactly sized buffer; its Open
+// would copy the whole tail first. A file log (wal.FileDevice) streams
+// through Open, which reads its own file handle and takes no device
+// lock, so a long read does not hold up that node's appends and syncs.
+func readLog(dev wal.Device, from, limit int64) ([]byte, error) {
+	ra, ok := dev.(io.ReaderAt)
+	if !ok {
+		rc, err := dev.Open(from)
+		if err != nil {
+			return nil, err
+		}
+		defer rc.Close()
+		if limit < 0 {
+			return io.ReadAll(rc)
+		}
+		buf := make([]byte, limit)
+		k, err := io.ReadFull(rc, buf)
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		return buf[:k], nil
+	}
+	size, err := dev.Size()
+	if err != nil {
+		return nil, err
+	}
+	if from < 0 || from > size {
+		return nil, fmt.Errorf("store: offset %d beyond log end %d", from, size)
+	}
+	n := size - from
+	if limit >= 0 && n > limit {
+		n = limit
+	}
+	buf := make([]byte, n)
+	k, err := ra.ReadAt(buf, from)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf[:k], nil
 }
 
 // writeMsg writes status byte + body as one length-prefixed message.

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -206,6 +207,35 @@ func TestReadLogRange(t *testing.T) {
 	}
 	if got, err = cli.ReadLogRange(6, 1000, 10); err != nil || len(got) != 0 {
 		t.Fatalf("empty window at end: %d bytes, err=%v", len(got), err)
+	}
+}
+
+// TestReadLogRangeCopiesOnlyTheRange: a 64-byte window at the head of a
+// 32 MiB log costs the server a 64-byte copy, not a copy of the whole
+// tail behind it (which made replstore's chunked log repair O(L²)). The
+// count is every byte the process allocates across the call, server and
+// client together.
+func TestReadLogRangeCopiesOnlyTheRange(t *testing.T) {
+	srv, cli := newVersionedPair(t)
+	dev, err := srv.Log(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Append(make([]byte, 32<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.ReadLogRange(6, 0, 64); err != nil { // warm the connection
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := cli.ReadLogRange(6, 0, 64)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(got) != 64 {
+		t.Fatalf("range read: %d bytes, err=%v", len(got), err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a 64-byte range read allocated %d bytes", alloc)
 	}
 }
 

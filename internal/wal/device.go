@@ -247,6 +247,21 @@ func (d *MemDevice) Open(from int64) (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(cp)), nil
 }
 
+// ReadAt implements io.ReaderAt: it copies only [off, off+len(p)), where
+// Open copies the whole tail.
+func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if off < 0 || off > int64(len(d.buf)) {
+		return 0, fmt.Errorf("wal: offset %d beyond log end %d", off, len(d.buf))
+	}
+	n := copy(p, d.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 // Truncate implements Device.
 func (d *MemDevice) Truncate(size int64) error {
 	d.mu.Lock()

@@ -372,6 +372,19 @@ func TestMemDevice(t *testing.T) {
 	if dev.Syncs() != 1 {
 		t.Fatalf("syncs = %d", dev.Syncs())
 	}
+	if _, err := dev.Append([]byte("abcdefg")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	if n, err := dev.ReadAt(buf, 1); n != 4 || err != nil || string(buf) != "bcde" {
+		t.Fatalf("ReadAt(1) = %d %q %v", n, buf[:n], err)
+	}
+	if n, err := dev.ReadAt(buf, 5); n != 2 || err != io.EOF || string(buf[:n]) != "fg" {
+		t.Fatalf("ReadAt(5) = %d %q %v, want the 2-byte tail and io.EOF", n, buf[:n], err)
+	}
+	if _, err := dev.ReadAt(buf, 8); err == nil {
+		t.Fatal("ReadAt past the log end succeeded")
+	}
 }
 
 func TestWriterCommit(t *testing.T) {

@@ -2,7 +2,9 @@ package lbc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,15 +188,20 @@ func TestSoakScaleChurn(t *testing.T) {
 	if err := c.Barrier(chaosRegion); err != nil {
 		t.Fatal(err)
 	}
+	// A failed write explains itself: every node's view of the lock.
+	write := func(w, round, l int) {
+		t.Helper()
+		if err := chaosWrite(c.Node(w), seed, round, l); err != nil {
+			t.Fatalf("%v\n%s", err, lockDump(c, uint32(l)))
+		}
+	}
 
 	// Phase A: every node writes its own locks — seeds interest and
 	// spreads the tokens to their owners.
 	round := 0
 	for ; round < 2; round++ {
 		for l := 0; l < kLocks; l++ {
-			if err := chaosWrite(c.Node(l%kNodes), seed, round, l); err != nil {
-				t.Fatal(err)
-			}
+			write(l%kNodes, round, l)
 		}
 	}
 
@@ -211,9 +218,7 @@ func TestSoakScaleChurn(t *testing.T) {
 				case 3:
 					w = (l + 1) % kNodes
 				}
-				if err := chaosWrite(c.Node(w), seed, round, l); err != nil {
-					t.Fatal(err)
-				}
+				write(w, round, l)
 			}
 		}
 	}
@@ -237,9 +242,7 @@ func TestSoakScaleChurn(t *testing.T) {
 	// Take the contended tokens to the victim and kill it: the
 	// survivors must recover the tokens and the migrated home authority.
 	for l := 0; l < 4; l++ {
-		if err := chaosWrite(c.Node(victim), seed, round, l); err != nil {
-			t.Fatal(err)
-		}
+		write(victim, round, l)
 	}
 	round++
 	if err := c.Kill(victim); err != nil {
@@ -278,9 +281,7 @@ func TestSoakScaleChurn(t *testing.T) {
 			if w == victim {
 				w = (w + 1) % kNodes
 			}
-			if err := chaosWrite(c.Node(w), seed, round, l); err != nil {
-				t.Fatal(err)
-			}
+			write(w, round, l)
 		}
 	}
 
@@ -291,9 +292,7 @@ func TestSoakScaleChurn(t *testing.T) {
 	// Phase D: full rotation, rejoined node included.
 	for end := round + 2; round < end; round++ {
 		for l := 0; l < kLocks; l++ {
-			if err := chaosWrite(c.Node((round+l)%kNodes), seed, round, l); err != nil {
-				t.Fatal(err)
-			}
+			write((round+l)%kNodes, round, l)
 		}
 	}
 
@@ -305,7 +304,7 @@ func TestSoakScaleChurn(t *testing.T) {
 		for l := 0; l < kLocks; l++ {
 			tx := c.Node(i).Begin(NoRestore)
 			if err := tx.Acquire(uint32(l)); err != nil {
-				t.Fatalf("converge: lock %d on node %d: %v", l, i+1, err)
+				t.Fatalf("converge: lock %d on node %d: %v\n%s", l, i+1, err, lockDump(c, uint32(l)))
 			}
 			if err := tx.Abort(); err != nil {
 				t.Fatal(err)
@@ -330,6 +329,37 @@ func TestSoakScaleChurn(t *testing.T) {
 	if compressed == 0 {
 		t.Fatal("soak never shipped a compressed update frame")
 	}
+}
+
+// lockDump renders every node's view of one lock from the public
+// accessors: token counters and holder, manager routing and migration
+// override, applied sequence, membership epoch and evicted peers.
+func lockDump(c *Cluster, lockID uint32) string {
+	var b strings.Builder
+	for i := 0; i < c.Size(); i++ {
+		n := c.Node(i)
+		if n == nil {
+			fmt.Fprintf(&b, "node %d: down\n", i+1)
+			continue
+		}
+		lm := n.Locks()
+		seq, lastWrite, have := lm.TokenState(lockID)
+		fmt.Fprintf(&b, "node %d: token=%v seq=%d lastWrite=%d held=%v applied=%d manager=%d",
+			i+1, have, seq, lastWrite, lm.Holding(lockID), lm.Applied(lockID), lm.ManagerOf(lockID))
+		if home, ok := lm.MigratedHome(lockID); ok {
+			fmt.Fprintf(&b, " migrated=%d", home)
+		}
+		if mon := c.Membership(i); mon != nil {
+			fmt.Fprintf(&b, " epoch=%d", mon.Epoch())
+			for j := 0; j < c.Size(); j++ {
+				if j != i && mon.Evicted(c.ids[j]) {
+					fmt.Fprintf(&b, " evicted=%d", j+1)
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // TestSoakChaosSchedule runs the full chaos scenario suite back to
