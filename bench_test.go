@@ -287,6 +287,8 @@ func BenchmarkAblationEagerLazy(b *testing.B) {
 
 // BenchmarkAblationHeaders compares compressed 4-24 B range headers
 // with the standard 104 B headers on the wire (§3.2's compression).
+// Frames ship without DEFLATE, which would otherwise fold the repeated
+// standard headers away.
 func BenchmarkAblationHeaders(b *testing.B) {
 	for _, w := range []struct {
 		name string
@@ -295,7 +297,7 @@ func BenchmarkAblationHeaders(b *testing.B) {
 		b.Run(w.name, func(b *testing.B) {
 			var sent int64
 			for i := 0; i < b.N; i++ {
-				sent = runPingPong(b, 20, lbc.WithWire(w.wire))
+				sent = runPingPong(b, 20, lbc.WithWire(w.wire), lbc.WithUncompressedUpdates())
 			}
 			b.ReportMetric(float64(sent), "wire-bytes")
 		})
@@ -559,27 +561,31 @@ func runPingPong(b *testing.B, rounds int, opts ...lbc.Option) int64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer cluster.Close()
-	if err := cluster.MapAll(1, 1<<16); err != nil {
-		b.Fatal(err)
-	}
-	if err := cluster.Barrier(1); err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 64)
-	for i := 0; i < rounds; i++ {
-		n := cluster.Node(i % 2)
-		tx := n.Begin(rvm.NoRestore)
-		if err := tx.Acquire(0); err != nil {
+	stats := [2]*metrics.Stats{cluster.Node(0).Stats(), cluster.Node(1).Stats()}
+	func() {
+		defer cluster.Close()
+		if err := cluster.MapAll(1, 1<<16); err != nil {
 			b.Fatal(err)
 		}
-		if err := tx.Write(n.RVM().Region(1), uint64(i*64), payload); err != nil {
+		if err := cluster.Barrier(1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tx.Commit(rvm.NoFlush); err != nil {
-			b.Fatal(err)
+		payload := make([]byte, 64)
+		for i := 0; i < rounds; i++ {
+			n := cluster.Node(i % 2)
+			tx := n.Begin(rvm.NoRestore)
+			if err := tx.Acquire(0); err != nil {
+				b.Fatal(err)
+			}
+			if err := tx.Write(n.RVM().Region(1), uint64(i*64), payload); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tx.Commit(rvm.NoFlush); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	return cluster.Node(0).Stats().Counter(metrics.CtrBytesSent) +
-		cluster.Node(1).Stats().Counter(metrics.CtrBytesSent)
+	}()
+	// Close drained every send window, so the last round's frame is
+	// counted too.
+	return stats[0].Counter(metrics.CtrBytesSent) + stats[1].Counter(metrics.CtrBytesSent)
 }

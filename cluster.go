@@ -170,19 +170,20 @@ func WithAcquireTimeout(d time.Duration) Option {
 	return func(c *clusterConfig) { c.acqTimeout = d }
 }
 
-// WithGroupCommit enables the group-commit pipeline on every node:
-// concurrent flush-mode committers share one log Append+Sync
-// (wal.GroupWriter), and eager update broadcasts ship as one
-// multi-record frame per peer per batch.
+// WithGroupCommit routes every node's log appends through
+// wal.GroupWriter: concurrent flush-mode committers share one log
+// Append+Sync. (Eager update broadcasts always ship as one batch frame
+// per peer per drain, with or without it.)
 func WithGroupCommit() Option {
 	return func(c *clusterConfig) { c.groupCommit = true }
 }
 
 // WithUncompressedUpdates disables DEFLATE payload compression of
-// batched update frames: every batch ships as a plain MsgUpdateBatch.
-// The ablation baseline for the wire bench; compression is otherwise on
-// by default under WithGroupCommit (with a size heuristic that skips
-// small or incompressible batches).
+// update frames: every batch ships as a plain MsgUpdateBatch. The
+// ablation baseline for the wire bench, and what the paper harness runs
+// so the §3.2 header ablation measures headers rather than DEFLATE;
+// compression is otherwise on by default (with a size heuristic that
+// skips small or incompressible batches).
 func WithUncompressedUpdates() Option {
 	return func(c *clusterConfig) { c.noCompress = true }
 }
@@ -543,7 +544,6 @@ func (c *Cluster) startNode(i int, restart bool) error {
 		})
 		c.mons[i] = mon
 		tr = membership.NewFence(c.trs[i], mon, r.Stats(), []uint8{
-			coherency.MsgUpdate, coherency.MsgUpdateStd,
 			coherency.MsgUpdateBatch, coherency.MsgUpdateBatchC,
 		})
 	}
@@ -560,7 +560,6 @@ func (c *Cluster) startNode(i int, restart bool) error {
 		PullOnStall:      cfg.inj != nil && cfg.useStore,
 		InterestRouting:  cfg.interest,
 		AcquireTimeout:   cfg.acqTimeout,
-		BatchUpdates:     cfg.groupCommit,
 		NoCompress:       cfg.noCompress,
 		SendWindow:       cfg.sendWindow,
 		SendStallTimeout: cfg.sendStall,

@@ -172,7 +172,6 @@ func main() {
 		})
 		defer mon.Close()
 		tr = membership.NewFence(mesh, mon, mstats, []uint8{
-			coherency.MsgUpdate, coherency.MsgUpdateStd,
 			coherency.MsgUpdateBatch, coherency.MsgUpdateBatchC,
 		})
 	}

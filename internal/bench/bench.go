@@ -179,6 +179,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		lbc.WithWire(cfg.Wire),
 		lbc.WithPageSize(cfg.OO7.PageSize),
 		lbc.WithPropagation(cfg.Propagation),
+		// The paper's update messages are not DEFLATE-compressed, and
+		// DEFLATE would fold away the repeated headers the §3.2 header
+		// ablation measures.
+		lbc.WithUncompressedUpdates(),
 	}
 	if !cfg.NoTCP {
 		opts = append(opts, lbc.WithTCP())
@@ -238,14 +242,17 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			return nil, err
 		}
 	}
+	if res.sentUpdate && cfg.Propagation == coherency.Eager {
+		// An eager update leaves on the writer's sender goroutine, which
+		// charges the frame's network time before it counts the frame.
+		if err := awaitCounter(writer.Stats(), metrics.CtrBatchFrames, wBefore.Counters[metrics.CtrBatchFrames]+1); err != nil {
+			return nil, fmt.Errorf("bench: writer never sent the update: %w", err)
+		}
+	}
 	wDiff := writer.Stats().Snapshot().Sub(wBefore)
 	if receiver != nil && res.sentUpdate {
-		deadline := time.Now().Add(30 * time.Second)
-		for receiver.Stats().Counter(metrics.CtrRecordsApplied)-rBefore.Counters[metrics.CtrRecordsApplied] < 1 {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("bench: receiver never applied the update")
-			}
-			time.Sleep(100 * time.Microsecond)
+		if err := awaitCounter(receiver.Stats(), metrics.CtrRecordsApplied, rBefore.Counters[metrics.CtrRecordsApplied]+1); err != nil {
+			return nil, fmt.Errorf("bench: receiver never applied the update: %w", err)
 		}
 		rDiff := receiver.Stats().Snapshot().Sub(rBefore)
 		wDiff.Phases[metrics.PhaseApply] += rDiff.Phase(metrics.PhaseApply)
@@ -266,6 +273,18 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res.ModeledAlpha = model.DecomposePage(res.Stats)
 	}
 	return res, nil
+}
+
+// awaitCounter waits until the named counter reaches want.
+func awaitCounter(st *metrics.Stats, name string, want int64) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for st.Counter(name) < want {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s stuck at %d, want %d", name, st.Counter(name), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
 }
 
 // runLog drives the traversal through the full log-based coherency

@@ -33,7 +33,7 @@ type ScalePoint struct {
 	TxPerSec   float64 `json:"tx_per_sec"`      // sharded plane
 	FlatPerSec float64 `json:"flat_tx_per_sec"` // broadcast baseline
 
-	// Mean MsgUpdate* frames received per node over the run.
+	// Mean update frames received per node over the run.
 	FramesPerNode     float64 `json:"update_frames_per_node"`
 	FlatFramesPerNode float64 `json:"flat_update_frames_per_node"`
 	// FrameCut = flat / routed (how many-fold interest routing cut the

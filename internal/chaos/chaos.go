@@ -15,8 +15,8 @@
 // failure model (§2, §4.2):
 //
 //   - Silent drops, duplication and reordering apply only to coherency
-//     update messages (MsgUpdate/MsgUpdateStd/MsgUpdateBatch and the
-//     compressed MsgUpdateBatchC by default). These are
+//     update messages (MsgUpdateBatch and the compressed
+//     MsgUpdateBatchC by default). These are
 //     the faults the per-lock sequence interlock (§3.4) and the
 //     server-log pull path are designed to absorb.
 //   - Partitions are visible: every send across a cut link fails with
@@ -57,8 +57,8 @@ type Config struct {
 	MaxDelay time.Duration
 	// DropTypes lists the message types eligible for silent faults
 	// (drop/dup/reorder). Defaults to the coherency update types
-	// {0x20, 0x21, 0x25, 0x2D}; control messages always either go
-	// through or fail visibly.
+	// {0x25, 0x2D}; control messages always either go through or fail
+	// visibly.
 	DropTypes []uint8
 	// StoreFailProb injects rvm-visible errors into wrapped storage
 	// operations (FaultyStore / FaultyDevice), drawn from a dedicated
@@ -71,11 +71,10 @@ func (c *Config) fill() {
 		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.DropTypes == nil {
-		// MsgUpdate, MsgUpdateStd, MsgUpdateBatch, MsgUpdateBatchC: a
-		// dropped batch frame (plain or compressed) loses every record
-		// in it; the same interlock + pull path recovers, it just
-		// stalls more locks at once.
-		c.DropTypes = []uint8{0x20, 0x21, 0x25, 0x2D}
+		// MsgUpdateBatch, MsgUpdateBatchC: a dropped batch frame (plain
+		// or compressed) loses every record in it; the interlock + pull
+		// path recovers, it just stalls more locks at once.
+		c.DropTypes = []uint8{0x25, 0x2D}
 	}
 }
 

@@ -27,7 +27,7 @@ func driveSchedule(in *Injector) []string {
 	for i := 0; i < 200; i++ {
 		payload := []byte(fmt.Sprintf("m%03d", i))
 		to := netproto.NodeID(2 + i%2)
-		_ = in.deliver(rec.send, 1, to, 0x20, payload)
+		_ = in.deliver(rec.send, 1, to, 0x25, payload)
 	}
 	_ = in.flushHeld(1, rec.send)
 	return rec.events
@@ -70,7 +70,7 @@ func TestPartitionIsVisibleForAllTypes(t *testing.T) {
 	in := New(Config{Seed: 7})
 	in.PartitionOneWay(1, 2)
 	rec := &recorder{}
-	for _, typ := range []uint8{0x10, 0x20, 0x23} {
+	for _, typ := range []uint8{0x10, 0x25, 0x23} {
 		err := in.deliver(rec.send, 1, 2, typ, []byte("x"))
 		if !errors.Is(err, netproto.ErrPeerUnreachable) {
 			t.Fatalf("type %#x across partition: got %v, want ErrPeerUnreachable", typ, err)
@@ -81,7 +81,7 @@ func TestPartitionIsVisibleForAllTypes(t *testing.T) {
 		t.Fatalf("reverse direction failed: %v", err)
 	}
 	in.Heal()
-	if err := in.deliver(rec.send, 1, 2, 0x20, []byte("x")); err != nil {
+	if err := in.deliver(rec.send, 1, 2, 0x25, []byte("x")); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 	if len(rec.events) != 2 {
@@ -103,7 +103,7 @@ func TestOnlyUpdateTypesDropSilently(t *testing.T) {
 	}
 	// Update traffic all drops.
 	for i := 0; i < 20; i++ {
-		if err := in.deliver(rec.send, 1, 2, 0x20, []byte("upd")); err != nil {
+		if err := in.deliver(rec.send, 1, 2, 0x25, []byte("upd")); err != nil {
 			t.Fatalf("update send errored: %v", err)
 		}
 	}
@@ -119,20 +119,20 @@ func TestReorderSwapsAndFlushDrains(t *testing.T) {
 	in := New(Config{Seed: 5, ReorderProb: 1.0})
 	rec := &recorder{}
 	// First message is held, second overtakes it and releases it.
-	_ = in.deliver(rec.send, 1, 2, 0x20, []byte("a"))
+	_ = in.deliver(rec.send, 1, 2, 0x25, []byte("a"))
 	if len(rec.events) != 0 {
 		t.Fatalf("first message should be held, got %v", rec.events)
 	}
-	_ = in.deliver(rec.send, 1, 2, 0x20, []byte("b"))
-	if len(rec.events) != 2 || rec.events[0] != "2/0x20/b" || rec.events[1] != "2/0x20/a" {
+	_ = in.deliver(rec.send, 1, 2, 0x25, []byte("b"))
+	if len(rec.events) != 2 || rec.events[0] != "2/0x25/b" || rec.events[1] != "2/0x25/a" {
 		t.Fatalf("expected swapped delivery [b a], got %v", rec.events)
 	}
 	// A lone hold-back drains on flush.
-	_ = in.deliver(rec.send, 1, 2, 0x20, []byte("c"))
+	_ = in.deliver(rec.send, 1, 2, 0x25, []byte("c"))
 	if err := in.flushHeld(1, rec.send); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.events) != 3 || rec.events[2] != "2/0x20/c" {
+	if len(rec.events) != 3 || rec.events[2] != "2/0x25/c" {
 		t.Fatalf("flush did not drain hold-back: %v", rec.events)
 	}
 }

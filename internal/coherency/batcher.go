@@ -14,33 +14,37 @@ import (
 	"lbc/internal/wal"
 )
 
-// Network half of the group-commit pipeline: with Options.BatchUpdates
-// set, eager broadcasts are queued into bounded per-peer send windows
-// and a dedicated sender goroutine per peer ships one batch frame per
-// drain instead of one transport message per transaction. Batch frames
-// carry format-tagged records (compressed or standard headers), so the
-// per-record fallback for wal.ErrTooLarge composes with batching, and
-// whole frames additionally ship DEFLATE-compressed (MsgUpdateBatchC)
-// when that saves wire bytes.
+// The one way a record leaves a node. Eager broadcasts (and the DSM
+// baseline's BroadcastRecord) are queued into bounded per-peer send
+// windows, and a dedicated sender goroutine per peer ships one batch
+// frame per drain: a peer that was idle gets a batch of one, a busy one
+// gets every record committed while its previous frame was on the
+// wire. Batch frames carry format-tagged records (compressed or
+// standard headers), so the per-record fallback for wal.ErrTooLarge and
+// the Standard wire format need no second frame type, and whole frames
+// additionally ship DEFLATE-compressed (MsgUpdateBatchC) when that saves
+// wire bytes. Token piggyback (piggyback.go) carries the same tagged
+// records in the same count/length framing.
 //
 // Ordering: records enter each peer's queue in commit order, before
 // their locks are released (Tx.Commit calls broadcast before Release),
 // and a drain preserves queue order within the frame. The receiver
-// decodes a frame's records in order and hands them to the applier,
-// whose per-lock sequence interlock is the actual ordering authority —
-// cross-frame or cross-peer reordering parks records exactly as it does
-// for unbatched delivery.
+// decodes a frame's records in order and hands them to the apply
+// pipeline, whose per-lock sequence interlock is the actual ordering
+// authority — cross-frame or cross-peer reordering parks records until
+// their predecessors arrive.
 //
 // Flow control: the per-peer window (Options.SendWindow) caps bytes
 // queued plus in flight. A full window blocks the committing
-// transaction inside enqueueBroadcast — the same backpressure shape as
+// transaction inside broadcast — the same backpressure shape as
 // wal.GroupWriter's bounded queue — but only against the slow peer;
 // frames to every other peer keep flowing on their own senders. When
 // the pull backstop is configured, a peer that stays stalled past
 // Options.SendStallTimeout is downgraded: its queued backlog is
-// dropped (counted slow_peer_drops) and the records reach it through
-// the server-log pull at its next acquire, exactly as after a chaos
-// drop.
+// dropped (counted slow_peer_drops), as is the committing record if the
+// frame on the wire still leaves no room, and the records reach it
+// through the server-log pull at its next acquire, exactly as after a
+// chaos drop.
 //
 // Buffer ownership (the zero-copy chain): encodeTaggedRecord writes the
 // format tag and the record into one pooled buffer; that buffer is
@@ -81,6 +85,10 @@ const (
 // inflate to exactly the declared bytes).
 var errBadBatchC = errors.New("coherency: malformed compressed batch frame")
 
+// errBadTag reports a tagged record that is empty or carries an unknown
+// format tag.
+var errBadTag = errors.New("coherency: bad record format tag")
+
 // sharedPayload is one encoded, format-tagged record shared by every
 // targeted peer's send queue; the pooled buffer recycles when the last
 // holder releases it.
@@ -93,23 +101,6 @@ func (sp *sharedPayload) release() {
 	if sp.refs.Add(-1) == 0 {
 		bufpool.Put(sp.buf)
 	}
-}
-
-// encodeRecord encodes rec in the node's wire format, returning the
-// message and its type code. Records too large for the compressed
-// format fall back to the standard encoding. The returned buffer comes
-// from bufpool; the caller owns it and must Put it after the last send.
-func (n *Node) encodeRecord(rec *wal.TxRecord) ([]byte, uint8) {
-	if n.wire != Standard {
-		b := bufpool.Get(wal.CompressedSize(rec))
-		msg, err := wal.AppendCompressed(b, rec)
-		if err == nil {
-			return msg, MsgUpdate
-		}
-		bufpool.Put(b)
-		n.stats.Add(metrics.CtrCompressFallbacks, 1)
-	}
-	return wal.AppendStandard(bufpool.Get(wal.StandardSize(rec)), rec), MsgUpdateStd
 }
 
 // encodeTaggedRecord encodes rec directly behind its one-byte batch
@@ -189,10 +180,11 @@ func (n *Node) closeSenders() {
 	}
 }
 
-// enqueueBroadcast encodes rec once and admits it to every targeted
-// peer's send window, blocking (backpressure into the committing
-// transaction) while a window is full.
-func (n *Node) enqueueBroadcast(rec *wal.TxRecord) {
+// broadcast encodes rec once in the node's wire format and admits it to
+// the send window of every peer that has any of the modified regions
+// mapped, blocking (backpressure into the committing transaction) while
+// a window is full.
+func (n *Node) broadcast(rec *wal.TxRecord) {
 	peers := n.peersForRecord(rec)
 	if len(peers) == 0 {
 		return
@@ -222,10 +214,11 @@ func (n *Node) enqueueBroadcast(rec *wal.TxRecord) {
 // is full. A payload always enters an empty window even if it alone
 // exceeds it — an oversized record must not deadlock. When the wait
 // outlives the node's stall timeout and the pull backstop is
-// configured, the peer is downgraded: its queued backlog is dropped and
-// it re-fetches those records from the server logs at its next acquire
+// configured, the peer is downgraded: its queued backlog is dropped —
+// and sp with it if the frame still on the wire leaves no room — and it
+// re-fetches those records from the server logs at its next acquire
 // (the exact recovery path chaos drops exercise), so one wedged peer
-// costs a bounded stall instead of stopping every commit. Without the
+// costs each commit at most one stall timeout. Without the
 // backstop a drop would lose the records forever, so the enqueue keeps
 // blocking — memory stays bounded by the window either way.
 func (ps *peerSender) enqueue(sp *sharedPayload) {
@@ -262,10 +255,16 @@ func (ps *peerSender) enqueue(sp *sharedPayload) {
 				n.stats.Add(metrics.CtrSlowPeerDrops, int64(len(dropped)))
 				ps.notifyLocked()
 			}
-			// Only the in-flight frame still occupies the window now;
-			// the transport's write timeout bounds how long that lasts,
-			// so keep waiting on wake without re-arming.
-			timeout = nil
+			if ps.inFlight > 0 && ps.inFlight+size > n.sendWindow {
+				// The frame on the wire alone leaves no room: the
+				// downgraded peer fetches this record from the server
+				// logs as well, and the commit waits no longer.
+				ps.mu.Unlock()
+				n.stats.Add(metrics.CtrSlowPeerDrops, 1)
+				n.stats.Observe(metrics.HistSendStallNS, time.Since(stallStart).Nanoseconds())
+				sp.release()
+				return
+			}
 		}
 	}
 	if ps.closed {
@@ -340,7 +339,6 @@ func (ps *peerSender) ship(batch []*sharedPayload) {
 		t0 = time.Now()
 	}
 	tm := metrics.StartTimer(n.stats, metrics.PhaseNetIO)
-	defer tm.Stop()
 
 	skel := bufpool.Get(4 + 4*len(batch))
 	skel = skel[:4+4*len(batch)]
@@ -383,6 +381,9 @@ func (ps *peerSender) ship(batch []*sharedPayload) {
 	if !sent {
 		err = netproto.SendVec(n.tr, ps.peer, MsgUpdateBatch, parts)
 	}
+	// The phase is charged before the frame is counted, so a reader that
+	// sees the count also sees this frame's network time.
+	tm.Stop()
 	bufpool.Put(skel)
 	if err != nil {
 		n.stats.Add(metrics.CtrSendErrors, 1)
@@ -407,9 +408,10 @@ func (ps *peerSender) ship(batch []*sharedPayload) {
 }
 
 // onUpdateBatch decodes a plain batch frame and feeds its records to
-// the apply pipeline in frame order.
+// the apply pipeline in frame order. The frame is counted once handled,
+// so a reader that sees the count also sees its records admitted.
 func (n *Node) onUpdateBatch(from netproto.NodeID, payload []byte) {
-	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
+	defer n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
 	n.dispatchBatch(from, payload)
 }
 
@@ -420,7 +422,7 @@ func (n *Node) onUpdateBatch(from netproto.NodeID, payload []byte) {
 // bomb-sized declared lengths all land in decodeError — never a panic
 // or an unbounded allocation.
 func (n *Node) onUpdateBatchC(from netproto.NodeID, payload []byte) {
-	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
+	defer n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
 	raw, err := inflateBatch(payload)
 	if err != nil {
 		n.decodeError(from)
@@ -468,28 +470,34 @@ func (n *Node) dispatchBatch(from netproto.NodeID, frame []byte) {
 		return
 	}
 	for _, part := range parts {
-		if len(part) < 1 {
+		rec, aliased, err := decodeTaggedRecord(part)
+		if err != nil {
 			n.decodeError(from)
 			return
 		}
-		switch part[0] {
-		case batchFmtCompressed:
-			rec, err := wal.DecodeCompressed(part[1:])
-			if err != nil {
-				n.decodeError(from)
-				return
-			}
-			n.enqueue(n.adoptRecord(rec))
-		case batchFmtStandard:
-			rec, _, err := wal.DecodeStandard(part[1:])
-			if err != nil {
-				n.decodeError(from)
-				return
-			}
-			n.enqueue(rec) // DecodeStandard already copies data
-		default:
-			n.decodeError(from)
-			return
+		if aliased {
+			rec = n.adoptRecord(rec)
 		}
+		n.enqueue(rec)
+	}
+}
+
+// decodeTaggedRecord decodes one format-tagged record: a batch-frame part
+// or a record on a lock token. aliased reports that the record's range
+// data still points into part (the compressed decoder does not copy);
+// the caller must move it out before part's buffer is reused.
+func decodeTaggedRecord(part []byte) (rec *wal.TxRecord, aliased bool, err error) {
+	if len(part) < 1 {
+		return nil, false, errBadTag
+	}
+	switch part[0] {
+	case batchFmtCompressed:
+		rec, err = wal.DecodeCompressed(part[1:])
+		return rec, true, err
+	case batchFmtStandard:
+		rec, _, err = wal.DecodeStandard(part[1:])
+		return rec, false, err
+	default:
+		return nil, false, fmt.Errorf("%w %#x", errBadTag, part[0])
 	}
 }

@@ -4,12 +4,42 @@ import (
 	"fmt"
 	"testing"
 
+	"lbc/internal/netproto"
 	"lbc/internal/wal"
 )
 
-func batchedCluster(t *testing.T, k int, size int) []*Node {
+// batchFrame encodes records as a plain MsgUpdateBatch payload, each
+// compressed behind its format tag: the frame a sender ships for them.
+func batchFrame(t testing.TB, recs ...*wal.TxRecord) []byte {
 	t.Helper()
-	return testCluster(t, k, size, func(i int, o *Options) { o.BatchUpdates = true })
+	parts := make([][]byte, len(recs))
+	for i, rec := range recs {
+		enc, err := wal.AppendCompressed([]byte{batchFmtCompressed}, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = enc
+	}
+	return netproto.AppendBatch(nil, parts)
+}
+
+// windowsDrained reports whether every send window of n is empty. A
+// commit admits its record to the windows of its recipients before it
+// returns, and a window drains only after the frame carrying the record
+// has been sent and counted; so once this holds, the sender-side
+// counters cover every commit that has returned.
+func windowsDrained(n *Node) bool {
+	n.psMu.Lock()
+	defer n.psMu.Unlock()
+	for _, ps := range n.peerSenders {
+		ps.mu.Lock()
+		busy := ps.inFlight > 0
+		ps.mu.Unlock()
+		if busy {
+			return false
+		}
+	}
+	return true
 }
 
 // TestBatchedBroadcastDelivers drives writer/reader rounds over a
@@ -17,7 +47,7 @@ func batchedCluster(t *testing.T, k int, size int) []*Node {
 // every committed value in order, i.e. the per-lock interlock holds
 // across batch boundaries.
 func TestBatchedBroadcastDelivers(t *testing.T) {
-	nodes := batchedCluster(t, 2, 1024)
+	nodes := testCluster(t, 2, 1024, nil)
 	for i := 0; i < 20; i++ {
 		commitWrite(t, nodes[0], 1, 0, []byte(fmt.Sprintf("round-%02d", i)))
 		got := readUnder(t, nodes[1], 1, 0, 8)
@@ -35,7 +65,7 @@ func TestBatchedBroadcastDelivers(t *testing.T) {
 // records); the sender must fall back to the standard encoding inside
 // the batch frame and the receiver must still apply it.
 func TestBroadcastFallsBackToStandardOnOverflow(t *testing.T) {
-	nodes := batchedCluster(t, 2, 1024)
+	nodes := testCluster(t, 2, 1024, nil)
 	rec := &wal.TxRecord{
 		Node: 9, TxSeq: 1,
 		Locks:  make([]wal.LockRec, 1<<16),

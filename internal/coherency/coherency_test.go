@@ -296,8 +296,8 @@ func TestVersionedModeBuffersUntilAccept(t *testing.T) {
 		}
 	})
 	commitWrite(t, nodes[0], 1, 0, []byte("new version"))
-	// Give the update time to arrive at node 2: it must stay buffered.
-	time.Sleep(20 * time.Millisecond)
+	// Once the frame has arrived at node 2 the record must sit buffered.
+	waitFor(t, func() bool { return nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv) >= 1 })
 	if got := region(t, nodes[1]).Bytes()[:11]; string(got) == "new version" {
 		t.Fatal("versioned node applied update before Accept")
 	}
@@ -317,7 +317,7 @@ func TestVersionedAcquireImpliesAccept(t *testing.T) {
 		}
 	})
 	commitWrite(t, nodes[0], 1, 0, []byte("forced"))
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, func() bool { return nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv) >= 1 })
 	got := readUnder(t, nodes[1], 1, 0, 6)
 	if string(got) != "forced" {
 		t.Fatalf("acquire under versioned mode read %q", got)
@@ -331,7 +331,7 @@ func TestSetVersionedOffFlushes(t *testing.T) {
 		}
 	})
 	commitWrite(t, nodes[0], 1, 0, []byte("flush me"))
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, func() bool { return nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv) >= 1 })
 	nodes[1].SetVersioned(false)
 	waitFor(t, func() bool { return nodes[1].Locks().Applied(1) >= 1 })
 	if got := string(region(t, nodes[1]).Bytes()[:8]); got != "flush me" {
@@ -346,10 +346,11 @@ func TestStandardWireFormat(t *testing.T) {
 	if string(got) != "std headers" {
 		t.Fatalf("peer sees %q", got)
 	}
-	// Standard wire bytes must exceed compressed for the same payload.
-	sent := nodes[0].Stats().Counter(metrics.CtrBytesSent)
-	if sent < wal.StdRangeHeaderLen {
-		t.Fatalf("sent only %d bytes with standard headers", sent)
+	// The frame carries the 104-byte standard range header. Raw bytes
+	// are counted before DEFLATE, which would otherwise shrink it.
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	if raw := nodes[0].Stats().Counter(metrics.CtrBytesSentRaw); raw < wal.StdRangeHeaderLen {
+		t.Fatalf("sent only %d raw bytes with standard headers", raw)
 	}
 }
 
@@ -379,8 +380,12 @@ func TestBroadcastOnlyToMappedPeers(t *testing.T) {
 	if _, err := tx.Commit(rvm.NoFlush); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
 	if got := nodes[0].Stats().Counter(metrics.CtrMsgsSent); got != 1 {
 		t.Fatalf("sent %d messages, want 1 (only the mapped peer)", got)
+	}
+	if got := nodes[0].Stats().Counter(metrics.BytesSentTo(3)); got != 0 {
+		t.Fatalf("sent %d bytes to the unmapped peer", got)
 	}
 	waitFor(t, func() bool {
 		return nodes[1].Stats().Counter(metrics.CtrRecordsApplied) == 1
@@ -516,7 +521,7 @@ func TestApplyErrorCounted(t *testing.T) {
 func TestDecodeErrorCounted(t *testing.T) {
 	nodes := testCluster(t, 2, 64, nil)
 	// Deliver garbage directly to the update handler.
-	nodes[1].onUpdate(1, []byte{0xde, 0xad})
+	nodes[1].onUpdateBatch(1, []byte{0xde, 0xad})
 	if nodes[1].Stats().Counter("decode_errors") != 1 {
 		t.Fatal("decode error not counted")
 	}

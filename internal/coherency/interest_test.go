@@ -103,11 +103,14 @@ func TestInterestRoutingCutsFrames(t *testing.T) {
 	}
 	waitFor(t, func() bool { return nodes[1].Locks().Applied(lock) >= 6 })
 
-	if got := nodes[2].Stats().Counter(metrics.CtrUpdateFramesRecv); got != 0 {
-		t.Fatalf("uninterested node 3 received %d update frames, want 0", got)
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	if got := nodes[0].Stats().Counter(metrics.BytesSentTo(3)); got != 0 {
+		t.Fatalf("uninterested node 3 was sent %d bytes, want 0", got)
 	}
-	if got := nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv); got < 5 {
-		t.Fatalf("interested node 2 received %d update frames, want >= 5", got)
+	// Commits that land while a frame is on the wire share the next one,
+	// so count records, not frames: all five went to node 2.
+	if got := nodes[0].Stats().Counter(metrics.CtrBatchRecords); got < 5 {
+		t.Fatalf("writer shipped %d records to interested node 2, want >= 5", got)
 	}
 
 	// The never-sent peer still reads the newest value: its acquire
@@ -141,13 +144,16 @@ func TestDropInterestStopsRoutedUpdates(t *testing.T) {
 
 	nodes[1].DropInterest(lock)
 	waitFor(t, func() bool { return !nodes[0].InterestedIn(lock, 2) })
-	baseline := nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv)
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	baseline := nodes[0].Stats().Counter(metrics.BytesSentTo(2))
 	for i := 0; i < 3; i++ {
 		commitWrite(t, nodes[0], lock, 0, []byte("after-drop-x"))
 	}
-	time.Sleep(50 * time.Millisecond)
-	if got := nodes[1].Stats().Counter(metrics.CtrUpdateFramesRecv); got != baseline {
-		t.Fatalf("dropped peer still received %d frames", got-baseline)
+	// Recipients are chosen inside Commit: with the windows drained, any
+	// frame those commits admitted for node 2 has been counted.
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	if got := nodes[0].Stats().Counter(metrics.BytesSentTo(2)); got != baseline {
+		t.Fatalf("dropped peer was still sent %d bytes", got-baseline)
 	}
 	if got := readUnder(t, nodes[1], lock, 0, 12); string(got) != "after-drop-x" {
 		t.Fatalf("post-drop read = %q", got)
@@ -173,11 +179,12 @@ func TestEvictionPurgesInterest(t *testing.T) {
 	if nodes[0].InterestedIn(lock, 3) {
 		t.Fatal("victim still in the interest table after purge")
 	}
-	before := nodes[2].Stats().Counter(metrics.CtrUpdateFramesRecv)
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	before := nodes[0].Stats().Counter(metrics.BytesSentTo(3))
 	commitWrite(t, nodes[0], lock, 0, []byte("post-evict"))
-	time.Sleep(50 * time.Millisecond)
-	if got := nodes[2].Stats().Counter(metrics.CtrUpdateFramesRecv); got != before {
-		t.Fatalf("evicted peer received %d routed frames", got-before)
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	if got := nodes[0].Stats().Counter(metrics.BytesSentTo(3)); got != before {
+		t.Fatalf("evicted peer was sent %d routed bytes", got-before)
 	}
 }
 

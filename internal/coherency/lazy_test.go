@@ -207,6 +207,7 @@ func TestEagerOverTCP(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted over TCP")
 	}
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
 	if nodes[0].Stats().Phase(metrics.PhaseNetIO) == 0 {
 		t.Fatal("network I/O time not accrued")
 	}

@@ -40,10 +40,9 @@ import (
 	"lbc/internal/wal"
 )
 
-// Message type codes on the transport (0x20-0x2F reserved here).
+// Message type codes on the transport (0x20-0x2F reserved here; 0x20
+// and 0x21 are unused).
 const (
-	MsgUpdate       uint8 = 0x20 // compressed coherency record
-	MsgUpdateStd    uint8 = 0x21 // standard-encoded record (header ablation)
 	MsgMapRegion    uint8 = 0x22 // {region u32}: sender has region mapped
 	MsgUpdateBatch  uint8 = 0x25 // batch frame of format-tagged records (0x23/0x24 are checkpoint)
 	MsgUpdateBatchC uint8 = 0x2D // DEFLATE-compressed batch frame (0x26-0x2C are token/checkpoint/interest)
@@ -154,18 +153,12 @@ type Options struct {
 	// pulls the records it was never sent from the server logs, so
 	// routing is purely a delivery optimization (see interest.go).
 	InterestRouting bool
-	// BatchUpdates routes eager broadcasts through per-peer sender
-	// goroutines that ship one batch frame per peer per drain instead of
-	// one message per transaction — the network half of the group-commit
-	// pipeline. Receiver-side ordering is unchanged: batched records go
-	// through the same per-lock sequence interlock.
-	BatchUpdates bool
 	// NoCompress disables DEFLATE payload compression of batch frames
 	// (MsgUpdateBatchC). With it set every batch ships as a plain
-	// MsgUpdateBatch, as before PR 9 — the ablation baseline for the
-	// wire bench. Compression is on by default under BatchUpdates;
-	// small or incompressible batches fall back to the plain frame
-	// automatically.
+	// MsgUpdateBatch — the ablation baseline for the wire bench and the
+	// header ablation, whose per-record header bytes DEFLATE would
+	// otherwise hide. Compression is on by default; small or
+	// incompressible batches fall back to the plain frame automatically.
 	NoCompress bool
 	// SendWindow bounds, per peer, the bytes queued plus in flight in
 	// the batch sender (default 1 MiB). A full window blocks the
@@ -210,7 +203,6 @@ type Node struct {
 
 	pullStall  bool
 	acqTimeout time.Duration
-	batch      bool
 	noCompress bool
 	sendWindow int
 	stallTmo   time.Duration
@@ -232,7 +224,7 @@ type Node struct {
 	// Quiesce read it.
 	outstanding atomic.Int64
 
-	// Per-peer bounded send windows (BatchUpdates). psMu guards the map
+	// Per-peer bounded send windows (batcher.go). psMu guards the map
 	// and the closed flag only; each peerSender has its own lock. Both
 	// are leaf-level: never taken while holding n.mu.
 	psMu        sync.Mutex
@@ -318,7 +310,6 @@ func New(opts Options) (*Node, error) {
 		checkLk:      opts.CheckLocks,
 		pullStall:    opts.PullOnStall,
 		acqTimeout:   opts.AcquireTimeout,
-		batch:        opts.BatchUpdates,
 		noCompress:   opts.NoCompress,
 		sendWindow:   opts.SendWindow,
 		stallTmo:     opts.SendStallTimeout,
@@ -353,8 +344,6 @@ func New(opts Options) (*Node, error) {
 			n.recordDone(rec)
 		},
 	})
-	n.tr.Handle(MsgUpdate, n.onUpdate)
-	n.tr.Handle(MsgUpdateStd, n.onUpdateStd)
 	n.tr.Handle(MsgMapRegion, n.onMapRegion)
 	n.tr.Handle(MsgUpdateBatch, n.onUpdateBatch)
 	n.tr.Handle(MsgUpdateBatchC, n.onUpdateBatchC)
@@ -366,8 +355,8 @@ func New(opts Options) (*Node, error) {
 		n.initMembership()
 	}
 	n.initCheckpoint()
-	// With BatchUpdates the per-peer senders start lazily on first
-	// enqueue toward each peer (see senderFor in batcher.go).
+	// The per-peer senders start lazily on first broadcast toward each
+	// peer (see senderFor in batcher.go).
 	return n, nil
 }
 

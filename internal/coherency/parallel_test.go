@@ -31,8 +31,8 @@ const (
 	eqRegionSz = eqChains*eqSpan + eqSenders*eqScratch
 )
 
-// eqFrame is one scheduled delivery: a pre-encoded update frame and the
-// peer it arrives from.
+// eqFrame is one scheduled delivery: a pre-encoded batch-of-one update
+// frame and the peer it arrives from.
 type eqFrame struct {
 	from     netproto.NodeID
 	buf      []byte
@@ -88,11 +88,7 @@ func buildEquivalenceStream(t *testing.T, rng *rand.Rand, records int) ([]eqFram
 			// Ranges are already sorted by (Region, Off): segment bases
 			// ascend with the (sorted) chain index.
 		}
-		enc, err := wal.AppendCompressed(make([]byte, 0, wal.CompressedSize(rec)), rec)
-		if err != nil {
-			t.Fatalf("encode record %d: %v", i, err)
-		}
-		f := eqFrame{from: netproto.NodeID(sender), buf: enc, lockFree: len(rec.Locks) == 0}
+		f := eqFrame{from: netproto.NodeID(sender), buf: batchFrame(t, rec), lockFree: len(rec.Locks) == 0}
 		frames = append(frames, f)
 		recs = append(recs, rec)
 		if f.lockFree {
@@ -150,7 +146,7 @@ func playStream(t *testing.T, sched []eqFrame, workers int) []byte {
 		n.AddSegment(Segment{LockID: uint32(c), Region: 1, Off: uint64(c * eqSpan), Len: eqSpan})
 	}
 	for _, f := range sched {
-		n.DeliverUpdate(f.from, f.buf)
+		n.onUpdateBatch(f.from, f.buf)
 	}
 	if err := n.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)

@@ -2,10 +2,11 @@ package coherency
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"sort"
 
 	"lbc/internal/bufpool"
-	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/wal"
 )
@@ -22,10 +23,14 @@ import (
 //
 // The token blob carries (a) the seen-vector — for each node, the
 // highest write sequence known to have reached it — and (b) every
-// retained record the requester has not seen. Receivers merge the
-// vector, retain the records for further forwarding, and hand them to
-// the normal applier, whose chain ordering and duplicate suppression
-// need no changes.
+// retained record the requester has not seen, as format-tagged records
+// in the batch-frame layout eager broadcast uses (batcher.go):
+//
+//	u16 nSeen | nSeen * {node u32, seq u64} | count u32 | count * {len u32, tagged record}
+//
+// Receivers merge the vector, retain the records for further
+// forwarding, and hand them to the normal apply pipeline, whose chain
+// ordering and duplicate suppression need no changes.
 
 // lockHistory is one lock's retained update history.
 type lockHistory struct {
@@ -37,12 +42,6 @@ type retainedRec struct {
 	writeSeq uint64
 	rec      *wal.TxRecord
 }
-
-// stdEncodingBit tags a token-blob record length word whose record is
-// in the standard encoding (fallback for records the compressed format
-// cannot carry). Record lengths are far below 2 GiB, so the high bit of
-// the u32 length is free.
-const stdEncodingBit = uint32(1) << 31
 
 func (n *Node) history(lockID uint32) *lockHistory {
 	h, ok := n.retention[lockID]
@@ -131,99 +130,90 @@ func (n *Node) PrepareToken(lockID uint32, to netproto.NodeID) []byte {
 	}
 	n.discardLocked(h)
 
-	buf := make([]byte, 0, 64)
-	var scratch [12]byte
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(len(h.seen)))
-	buf = append(buf, scratch[:2]...)
-	for id, seq := range h.seen {
-		binary.LittleEndian.PutUint32(scratch[0:], uint32(id))
-		binary.LittleEndian.PutUint64(scratch[4:], seq)
-		buf = append(buf, scratch[:12]...)
+	// The tagged encodings are pooled: their bytes are copied into the
+	// blob (which lockmgr owns) and recycled right away.
+	parts := make([][]byte, len(pending))
+	size := 2 + 12*len(h.seen) + 4
+	for i, rr := range pending {
+		parts[i] = n.encodeTaggedRecord(rr.rec)
+		size += 4 + len(parts[i])
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(pending)))
-	buf = append(buf, scratch[:4]...)
-	for _, rr := range pending {
-		// The per-record encode buffer is pooled: its bytes are appended
-		// into the blob (which lockmgr owns) and recycled right away.
-		enc, err := wal.AppendCompressed(bufpool.Get(wal.CompressedSize(rr.rec)), rr.rec)
-		lenWord := uint32(len(enc))
-		if err != nil {
-			bufpool.Put(enc)
-			enc = wal.AppendStandard(bufpool.Get(wal.StandardSize(rr.rec)), rr.rec)
-			lenWord = uint32(len(enc)) | stdEncodingBit
-			n.stats.Add(metrics.CtrCompressFallbacks, 1)
-		}
-		binary.LittleEndian.PutUint32(scratch[:4], lenWord)
-		buf = append(buf, scratch[:4]...)
-		buf = append(buf, enc...)
-		bufpool.Put(enc)
+	buf := make([]byte, 2, size)
+	binary.LittleEndian.PutUint16(buf, uint16(len(h.seen)))
+	for id, seq := range h.seen {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		buf = binary.LittleEndian.AppendUint64(buf, seq)
+	}
+	buf = netproto.AppendBatch(buf, parts)
+	for _, p := range parts {
+		bufpool.Put(p)
 	}
 	n.stats.Add("token_piggyback_bytes", int64(len(buf)))
 	n.stats.Add("token_piggyback_recs", int64(len(pending)))
 	return buf
 }
 
-// TokenArrived implements lockmgr.TokenData: merge the seen-vector,
-// retain the records for onward passes, and feed them to the applier.
-func (n *Node) TokenArrived(lockID uint32, from netproto.NodeID, blob []byte) {
-	if len(blob) < 6 {
-		return
+// seenEntry is one element of a token blob's seen-vector.
+type seenEntry struct {
+	id  netproto.NodeID
+	seq uint64
+}
+
+// errBadTokenBlob reports a token blob whose seen-vector is truncated.
+var errBadTokenBlob = errors.New("coherency: malformed token blob")
+
+// decodeTokenBlob splits a PrepareToken blob into its seen-vector and
+// records. Every count is checked against the bytes actually present
+// before anything is allocated for it, and the records are copied out
+// of blob, which the lock manager reuses.
+func decodeTokenBlob(blob []byte) ([]seenEntry, []*wal.TxRecord, error) {
+	if len(blob) < 2 {
+		return nil, nil, fmt.Errorf("%w: %d bytes", errBadTokenBlob, len(blob))
 	}
-	p := 0
-	nSeen := int(binary.LittleEndian.Uint16(blob[p:]))
-	p += 2
-	type seenEntry struct {
-		id  netproto.NodeID
-		seq uint64
+	nSeen := int(binary.LittleEndian.Uint16(blob))
+	p := 2 + 12*nSeen
+	if p > len(blob) {
+		return nil, nil, fmt.Errorf("%w: %d seen entries in %d bytes", errBadTokenBlob, nSeen, len(blob))
 	}
-	entries := make([]seenEntry, 0, nSeen)
-	for i := 0; i < nSeen; i++ {
-		if p+12 > len(blob) {
-			return
+	entries := make([]seenEntry, nSeen)
+	for i := range entries {
+		e := blob[2+12*i:]
+		entries[i] = seenEntry{
+			id:  netproto.NodeID(binary.LittleEndian.Uint32(e)),
+			seq: binary.LittleEndian.Uint64(e[4:]),
 		}
-		entries = append(entries, seenEntry{
-			id:  netproto.NodeID(binary.LittleEndian.Uint32(blob[p:])),
-			seq: binary.LittleEndian.Uint64(blob[p+4:]),
-		})
-		p += 12
 	}
-	if p+4 > len(blob) {
-		return
+	parts, err := netproto.SplitBatch(blob[p:])
+	if err != nil {
+		return nil, nil, err
 	}
-	nRecs := int(binary.LittleEndian.Uint32(blob[p:]))
-	p += 4
-	recs := make([]*wal.TxRecord, 0, nRecs)
-	for i := 0; i < nRecs; i++ {
-		if p+4 > len(blob) {
-			return
+	recs := make([]*wal.TxRecord, len(parts))
+	for i, part := range parts {
+		rec, aliased, err := decodeTaggedRecord(part)
+		if err != nil {
+			return nil, nil, err
 		}
-		v := binary.LittleEndian.Uint32(blob[p:])
-		std := v&stdEncodingBit != 0
-		ln := int(v &^ stdEncodingBit)
-		p += 4
-		if p+ln > len(blob) {
-			return
-		}
-		if std {
-			rec, _, err := wal.DecodeStandard(blob[p : p+ln])
-			if err != nil {
-				n.decodeError(from)
-				return
-			}
-			recs = append(recs, rec) // DecodeStandard already copies
-		} else {
-			rec, err := wal.DecodeCompressed(blob[p : p+ln])
-			if err != nil {
-				n.decodeError(from)
-				return
-			}
+		if aliased {
 			// Deliberately an unpooled copy (not adoptRecord): these
 			// records are retained in the lock history indefinitely as
 			// well as enqueued, so a pooled arena would be recycled by
 			// recordDone while the history still references it.
-			recs = append(recs, copyRecord(rec))
+			rec = copyRecord(rec)
 		}
-		p += ln
+		recs[i] = rec
+	}
+	return entries, recs, nil
+}
+
+// TokenArrived implements lockmgr.TokenData: merge the seen-vector,
+// retain the records for onward passes, and feed them to the apply
+// pipeline. A malformed blob is counted as a decode error from the
+// sender and changes nothing.
+func (n *Node) TokenArrived(lockID uint32, from netproto.NodeID, blob []byte) {
+	entries, recs, err := decodeTokenBlob(blob)
+	if err != nil {
+		n.decodeError(from)
+		return
 	}
 
 	n.mu.Lock()

@@ -2,8 +2,10 @@ package coherency
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/rvm"
+	"lbc/internal/wal"
 )
 
 func piggybackCluster(t *testing.T, k int, size int) []*Node {
@@ -207,4 +210,109 @@ func TestPiggybackRandomConvergence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tokenRecord is a committed record under lock 1, as a token carries it.
+func tokenRecord() *wal.TxRecord {
+	return &wal.TxRecord{
+		Node: 1, TxSeq: 7,
+		Locks:  []wal.LockRec{{LockID: 1, Seq: 3, PrevWriteSeq: 2, Wrote: true}},
+		Ranges: []wal.RangeRec{{Region: 1, Off: 40, Data: []byte("riding the token")}},
+	}
+}
+
+// tokenBlob returns the blob node 1 of a two-node piggyback cluster
+// attaches when it passes lock 1 to node 2 after committing rec.
+func tokenBlob(tb testing.TB, wire WireFormat, rec *wal.TxRecord) []byte {
+	tb.Helper()
+	r, err := rvm.Open(rvm.Options{Node: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := New(Options{
+		RVM: r, Transport: netproto.NewHub().Endpoint(1),
+		Nodes:       []netproto.NodeID{1, 2},
+		Propagation: Piggyback, Wire: wire,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Close() })
+	n.retainRecord(rec)
+	return n.PrepareToken(1, 2)
+}
+
+// TestTokenBlobHonoursWireFormat: the records on a token are the tagged
+// records of a batch frame, in the node's wire format, and decode back
+// to what was committed.
+func TestTokenBlobHonoursWireFormat(t *testing.T) {
+	for _, c := range []struct {
+		wire WireFormat
+		tag  byte
+	}{{Compressed, batchFmtCompressed}, {Standard, batchFmtStandard}} {
+		blob := tokenBlob(t, c.wire, tokenRecord())
+		nSeen := int(binary.LittleEndian.Uint16(blob))
+		parts, err := netproto.SplitBatch(blob[2+12*nSeen:])
+		if err != nil {
+			t.Fatalf("wire %d: records are not a batch frame: %v", c.wire, err)
+		}
+		if len(parts) != 1 || parts[0][0] != c.tag {
+			t.Fatalf("wire %d: %d records, first tag %#x; want one with tag %#x", c.wire, len(parts), parts[0][0], c.tag)
+		}
+		_, recs, err := decodeTokenBlob(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].TxSeq != 7 || string(recs[0].Ranges[0].Data) != "riding the token" {
+			t.Fatalf("wire %d: decoded %+v", c.wire, recs)
+		}
+	}
+}
+
+// TestTokenBlobHostileCounts: a record count of 2^32-1 in a six-byte
+// blob, and a seen-vector longer than the blob, are decode errors from
+// the sender. Neither may allocate by the count it claims.
+func TestTokenBlobHostileCounts(t *testing.T) {
+	n := piggybackCluster(t, 1, 1024)[0]
+	for i, blob := range [][]byte{
+		{0, 0, 0xff, 0xff, 0xff, 0xff}, // no seen entries, 2^32-1 records
+		{3, 0, 1, 2, 3, 4, 5, 6},       // three seen entries in six bytes
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n.TokenArrived(1, 2, blob)
+		runtime.ReadMemStats(&after)
+		if got := n.Stats().Counter(metrics.DecodeErrorsFrom(2)); got != int64(i+1) {
+			t.Fatalf("blob %d: decode errors from node 2 = %d, want %d", i, got, i+1)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("blob %d: decoding allocated %d bytes", i, alloc)
+		}
+	}
+	if got := n.RetainedRecords(1); got != 0 {
+		t.Fatalf("malformed blobs left %d retained records", got)
+	}
+}
+
+// FuzzTokenBlob feeds the token-blob decoder arbitrary bytes: it must
+// return an error or records without panicking or allocating by an
+// unchecked count, and a blob that decodes must hold at least the bytes
+// its counts imply.
+func FuzzTokenBlob(f *testing.F) {
+	blob := tokenBlob(f, Compressed, tokenRecord())
+	f.Add(blob)
+	for _, cut := range []int{1, 2, 6, 14, len(blob) / 2, len(blob) - 1} {
+		f.Add(blob[:cut])
+	}
+	f.Add(tokenBlob(f, Standard, tokenRecord()))
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		seen, recs, err := decodeTokenBlob(b)
+		if err != nil {
+			return
+		}
+		if min := 2 + 12*len(seen) + 4 + 5*len(recs); min > len(b) {
+			t.Fatalf("%d seen entries and %d records decoded from %d bytes", len(seen), len(recs), len(b))
+		}
+	})
 }

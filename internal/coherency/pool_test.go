@@ -14,7 +14,7 @@ import (
 )
 
 // Buffer-ownership tests for the pooled receive path: once
-// DeliverUpdate returns, the caller may mutate or recycle its frame
+// onUpdateBatch returns, the caller may mutate or recycle its frame
 // buffer freely — the record has been copied out into a pooled arena,
 // even while the record sits parked waiting for a predecessor.
 
@@ -44,20 +44,16 @@ func newPoolReceiver(t *testing.T) (*Node, *rvm.Region) {
 	return n, reg
 }
 
-// chainFrame encodes a single-lock record for chain 0 into a pooled
-// buffer.
+// chainFrame encodes a single-lock record for chain 0 as a batch-of-one
+// frame in a pooled buffer.
 func chainFrame(t *testing.T, sender uint32, txSeq, seq uint64, off uint64, data []byte) []byte {
 	t.Helper()
-	rec := &wal.TxRecord{
+	f := batchFrame(t, &wal.TxRecord{
 		Node: sender, TxSeq: txSeq,
 		Locks:  []wal.LockRec{{LockID: 0, Seq: seq, PrevWriteSeq: seq - 1, Wrote: true}},
 		Ranges: []wal.RangeRec{{Region: 1, Off: off, Data: data}},
-	}
-	enc, err := wal.AppendCompressed(bufpool.Get(wal.CompressedSize(rec)), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
+	})
+	return append(bufpool.Get(len(f)), f...)
 }
 
 // TestReceiveBufferIsolation delivers an out-of-order record (which
@@ -70,7 +66,7 @@ func TestReceiveBufferIsolation(t *testing.T) {
 	p1 := bytes.Repeat([]byte{0x11}, 256)
 	p2 := bytes.Repeat([]byte{0x22}, 256)
 	f2 := chainFrame(t, 2, 1, 2, 512, p2)
-	n.DeliverUpdate(2, f2) // parks: seq 1 not applied yet
+	n.onUpdateBatch(2, f2) // parks: seq 1 not applied yet
 
 	// The caller owns the frame again: mutate it, recycle it, and churn
 	// the pool so a reused buffer would be overwritten.
@@ -86,7 +82,7 @@ func TestReceiveBufferIsolation(t *testing.T) {
 	}
 
 	f1 := chainFrame(t, 2, 2, 1, 0, p1)
-	n.DeliverUpdate(2, f1)
+	n.onUpdateBatch(2, f1)
 	bufpool.Put(f1)
 
 	if err := n.Quiesce(5 * time.Second); err != nil {
@@ -111,7 +107,7 @@ func TestArenaRecycledAfterInstall(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5a}, 128)
 	for seq := uint64(1); seq <= records; seq++ {
 		f := chainFrame(t, 2, seq, seq, (seq%16)*128, payload)
-		n.DeliverUpdate(2, f)
+		n.onUpdateBatch(2, f)
 		bufpool.Put(f)
 	}
 	if err := n.Quiesce(5 * time.Second); err != nil {
@@ -149,7 +145,7 @@ func TestSetVersionedWhileDelivering(t *testing.T) {
 		go func() {
 			defer close(delivered)
 			for _, f := range frames {
-				n.DeliverUpdate(2, f)
+				n.onUpdateBatch(2, f)
 			}
 		}()
 		n.SetVersioned(false)
@@ -178,7 +174,7 @@ type eagerTransport struct {
 
 func (e eagerTransport) Handle(typ uint8, h netproto.Handler) {
 	e.Transport.Handle(typ, h)
-	if typ == MsgUpdate {
+	if typ == MsgUpdateBatch {
 		h(2, e.frame)
 	}
 }
@@ -230,8 +226,8 @@ func TestNodeCloseStopsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.AddSegment(Segment{LockID: 0, Region: 1, Off: 0, Len: 4096})
-	n.DeliverUpdate(2, chainFrame(t, 2, 1, 1, 0, []byte("applied")))
-	n.DeliverUpdate(2, chainFrame(t, 2, 3, 3, 0, []byte("parked"))) // predecessor never arrives
+	n.onUpdateBatch(2, chainFrame(t, 2, 1, 1, 0, []byte("applied")))
+	n.onUpdateBatch(2, chainFrame(t, 2, 3, 3, 0, []byte("parked"))) // predecessor never arrives
 	waitFor(t, func() bool { return n.Parked() == 1 })
 	if err := n.Close(); err != nil {
 		t.Fatal(err)

@@ -12,31 +12,6 @@ import (
 	"lbc/internal/wal"
 )
 
-// onUpdate handles an incoming compressed coherency record. The
-// transport owns the payload buffer, so the decoded record's range data
-// (which aliases it) moves to a pooled arena before the record enters
-// the apply pipeline.
-func (n *Node) onUpdate(from netproto.NodeID, payload []byte) {
-	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
-	rec, err := wal.DecodeCompressed(payload)
-	if err != nil {
-		n.decodeError(from)
-		return
-	}
-	n.enqueue(n.adoptRecord(rec))
-}
-
-// onUpdateStd handles a standard-encoded record (header ablation mode).
-func (n *Node) onUpdateStd(from netproto.NodeID, payload []byte) {
-	n.stats.Add(metrics.CtrUpdateFramesRecv, 1)
-	rec, _, err := wal.DecodeStandard(payload)
-	if err != nil {
-		n.decodeError(from)
-		return
-	}
-	n.enqueue(rec) // DecodeStandard already copies data
-}
-
 // decodeError counts a malformed update frame, both in aggregate and
 // attributed to the sending node (a persistently garbling peer shows up
 // by name in /debug/lbc instead of as an anonymous total).
@@ -260,11 +235,4 @@ func (n *Node) Quiesce(timeout time.Duration) error {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-// DeliverUpdate injects a compressed update frame as if it had arrived
-// from peer `from` on the transport. Benchmarks and tests use it to
-// drive the receive path without a wire.
-func (n *Node) DeliverUpdate(from netproto.NodeID, payload []byte) {
-	n.onUpdate(from, payload)
 }

@@ -48,8 +48,7 @@ func TestSendWindowStallBackpressure(t *testing.T) {
 		}
 		n, err := New(Options{
 			RVM: r, Transport: tr, Nodes: ids,
-			BatchUpdates: true,
-			SendWindow:   1, // any payload beyond an in-flight one stalls
+			SendWindow: 1, // any payload beyond an in-flight one stalls
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"lbc/internal/bufpool"
 	"lbc/internal/lockmgr"
 	"lbc/internal/merge"
 	"lbc/internal/metrics"
@@ -239,8 +238,9 @@ func (t *Tx) Commit(mode rvm.CommitMode) (*wal.TxRecord, error) {
 	// Pages-updated statistic (Table 3).
 	n.stats.Add(metrics.CtrPagesTouched, int64(countPages(rec.Ranges, n.pageSize)))
 
-	// Eager propagation: one send per interested peer, mirroring the
-	// prototype's writev-per-node broadcast.
+	// Eager propagation: the record joins the send window of every
+	// interested peer before the locks release, so each peer's frames
+	// carry it in commit order.
 	if n.prop == Eager && rec.Wrote() {
 		n.broadcast(rec)
 	}
@@ -296,54 +296,6 @@ func (t *Tx) Abort() error {
 // coherency; records without lock records apply unconditionally at
 // receivers.
 func (n *Node) BroadcastRecord(rec *wal.TxRecord) { n.broadcast(rec) }
-
-// broadcast encodes the record in the configured wire format and sends
-// it to every peer that has any of the modified regions mapped. With
-// BatchUpdates the record is queued for the sender goroutine instead,
-// which ships one multi-record frame per peer per batch.
-func (n *Node) broadcast(rec *wal.TxRecord) {
-	if n.batch {
-		n.enqueueBroadcast(rec)
-		return
-	}
-	peers := n.peersForRecord(rec)
-	if len(peers) == 0 {
-		return
-	}
-	msg, typ := n.encodeRecord(rec)
-	traced := n.trace.Enabled()
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
-	}
-	tm := metrics.StartTimer(n.stats, metrics.PhaseNetIO)
-	for _, p := range peers {
-		if err := n.tr.Send(p, typ, msg); err != nil {
-			n.stats.Add(metrics.CtrSendErrors, 1)
-			continue
-		}
-		n.stats.Add(metrics.CtrMsgsSent, 1)
-		n.stats.Add(metrics.CtrBytesSent, int64(len(msg)))
-		// Unbatched sends are never payload-compressed, so raw == wire;
-		// keeping both counters moving makes the compression-ratio gauge
-		// read 1.0 here instead of reporting a gap.
-		n.stats.Add(metrics.CtrBytesSentRaw, int64(len(msg)))
-		n.stats.Add(metrics.BytesSentTo(uint32(p)), int64(len(msg)))
-	}
-	tm.Stop()
-	msgLen := len(msg)
-	// Send does not retain the message (ChanEndpoint copies, TCP writes
-	// synchronously before returning), so the encode buffer recycles
-	// after the last peer.
-	bufpool.Put(msg)
-	if traced {
-		n.trace.Emit(obs.Span{
-			Name: obs.SpanBroadcast, Node: rec.Node, Tx: rec.TxSeq,
-			Start: t0.UnixNano(), Dur: time.Since(t0).Nanoseconds(),
-			N: int64(msgLen) * int64(len(peers)),
-		})
-	}
-}
 
 // pullUpdates implements lazy propagation: read the per-node logs on
 // the storage server from our last read position, enqueue every new

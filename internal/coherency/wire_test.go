@@ -29,7 +29,7 @@ func compressible(n int) []byte {
 // MsgUpdateBatchC frames, (b) the wire-byte counter runs below the raw
 // counter, and (c) the per-peer byte counter tracks the wire total.
 func TestCompressedBatchDelivers(t *testing.T) {
-	nodes := batchedCluster(t, 2, 4096)
+	nodes := testCluster(t, 2, 4096, nil)
 	for i := 0; i < 10; i++ {
 		commitWrite(t, nodes[0], 1, 0, compressible(512))
 		got := readUnder(t, nodes[1], 1, 0, 512)
@@ -37,6 +37,7 @@ func TestCompressedBatchDelivers(t *testing.T) {
 			t.Fatalf("round %d: reader diverged", i)
 		}
 	}
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
 	st := nodes[0].Stats()
 	if st.Counter(metrics.CtrCompressedFrames) == 0 {
 		t.Fatal("no compressed frames were sent")
@@ -53,14 +54,12 @@ func TestCompressedBatchDelivers(t *testing.T) {
 // TestNoCompressOption pins the opt-out: with NoCompress set every
 // frame ships plain even when the payload would compress well.
 func TestNoCompressOption(t *testing.T) {
-	nodes := testCluster(t, 2, 4096, func(i int, o *Options) {
-		o.BatchUpdates = true
-		o.NoCompress = true
-	})
+	nodes := testCluster(t, 2, 4096, func(i int, o *Options) { o.NoCompress = true })
 	for i := 0; i < 5; i++ {
 		commitWrite(t, nodes[0], 1, 0, compressible(512))
 		readUnder(t, nodes[1], 1, 0, 512)
 	}
+	waitFor(t, func() bool { return windowsDrained(nodes[0]) })
 	st := nodes[0].Stats()
 	if st.Counter(metrics.CtrCompressedFrames) != 0 {
 		t.Fatal("NoCompress node sent compressed frames")
@@ -74,7 +73,7 @@ func TestNoCompressOption(t *testing.T) {
 // heuristic: tiny batches ship plain and count a skip... of the
 // frames below compressMinBytes none may arrive compressed.
 func TestSmallBatchSkipsCompression(t *testing.T) {
-	nodes := batchedCluster(t, 2, 1024)
+	nodes := testCluster(t, 2, 1024, nil)
 	for i := 0; i < 5; i++ {
 		commitWrite(t, nodes[0], 1, 0, []byte{byte(i)})
 		readUnder(t, nodes[1], 1, 0, 1)
@@ -89,25 +88,9 @@ func TestSmallBatchSkipsCompression(t *testing.T) {
 
 // mustFrameC builds a well-formed MsgUpdateBatchC payload carrying the
 // given records, bypassing the sender (tests corrupt it afterwards).
-func mustFrameC(t *testing.T, recs ...*wal.TxRecord) []byte {
+func mustFrameC(t testing.TB, recs ...*wal.TxRecord) []byte {
 	t.Helper()
-	var inner []byte
-	inner = append(inner, 0, 0, 0, 0)
-	putU32(inner[0:4], uint32(len(recs)))
-	var parts [][]byte
-	for _, r := range recs {
-		enc, err := wal.AppendCompressed([]byte{batchFmtCompressed}, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, enc)
-		var l [4]byte
-		putU32(l[:], uint32(len(enc)))
-		inner = append(inner, l[:]...)
-	}
-	for _, p := range parts {
-		inner = append(inner, p...)
-	}
+	inner := batchFrame(t, recs...)
 	frame := make([]byte, 4)
 	putU32(frame, uint32(len(inner)))
 	return wal.CompressChunks(frame, inner)
@@ -119,7 +102,7 @@ func mustFrameC(t *testing.T, recs ...*wal.TxRecord) []byte {
 // — and requires a decode-error count instead of a panic or a poisoned
 // apply pipeline.
 func TestUpdateBatchCDecodeErrors(t *testing.T) {
-	nodes := testCluster(t, 1, 1024, func(i int, o *Options) { o.BatchUpdates = true })
+	nodes := testCluster(t, 1, 1024, nil)
 	n := nodes[0]
 	rec := &wal.TxRecord{
 		Node: 9, TxSeq: 1,
@@ -181,18 +164,7 @@ func FuzzBatchFrameC(f *testing.F) {
 		Locks:  []wal.LockRec{{LockID: 2, Seq: 4, PrevWriteSeq: 3, Wrote: true}},
 		Ranges: []wal.RangeRec{{Region: 1, Off: 64, Data: compressible(100)}},
 	}
-	var inner []byte
-	enc, err := wal.AppendCompressed([]byte{batchFmtCompressed}, rec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	inner = append(inner, 0, 0, 0, 0, 0, 0, 0, 0)
-	putU32(inner[0:4], 1)
-	putU32(inner[4:8], uint32(len(enc)))
-	inner = append(inner, enc...)
-	frame := make([]byte, 4)
-	putU32(frame, uint32(len(inner)))
-	frame = wal.CompressChunks(frame, inner)
+	frame := mustFrameC(f, rec)
 
 	f.Add(frame)
 	f.Add(frame[:len(frame)/2])                             // truncated stream
@@ -208,15 +180,7 @@ func FuzzBatchFrameC(f *testing.F) {
 			return
 		}
 		for _, p := range parts {
-			if len(p) < 1 {
-				continue
-			}
-			switch p[0] {
-			case batchFmtCompressed:
-				wal.DecodeCompressed(p[1:])
-			case batchFmtStandard:
-				wal.DecodeStandard(p[1:])
-			}
+			decodeTaggedRecord(p)
 		}
 	})
 }
@@ -267,7 +231,6 @@ func TestBackpressureBoundsWindow(t *testing.T) {
 	const window = 400
 	var st *stallTransport
 	nodes := testCluster(t, 3, 4096, func(i int, o *Options) {
-		o.BatchUpdates = true
 		o.SendWindow = window
 		if i == 0 {
 			st = newStallTransport(o.Transport, 3)
@@ -299,10 +262,13 @@ func TestBackpressureBoundsWindow(t *testing.T) {
 	}
 	// Commits admitted before the wedge still reach the healthy peer.
 	waitFor(t, func() bool { return nodes[1].Locks().Applied(1) >= uint64(stalledAt) })
-	// And the committer stays wedged: no drops without a pull backstop.
-	time.Sleep(50 * time.Millisecond)
+	// And the committer stays wedged: no drops without a pull backstop,
+	// and nothing has reached the wedged peer.
 	if nodes[0].Stats().Counter(metrics.CtrSlowPeerDrops) != 0 {
 		t.Fatal("sender dropped frames with no pull backstop configured")
+	}
+	if got := nodes[0].Stats().Counter(metrics.BytesSentTo(3)); got != 0 {
+		t.Fatalf("%d bytes reached the wedged peer", got)
 	}
 
 	st.unstall()
@@ -314,13 +280,11 @@ func TestBackpressureBoundsWindow(t *testing.T) {
 	}
 }
 
-// TestSlowPeerDowngradeDrops runs the same wedge with the pull
-// backstop configured and a short stall timeout: instead of blocking
-// forever, the sender drops the wedged peer's backlog (slow_peer_drops
-// counts it), commits keep flowing, and the victim recovers the lost
-// records from the server logs on its next acquire — the same path
-// chaos-injected drops take.
-func TestSlowPeerDowngradeDrops(t *testing.T) {
+// slowPeerCluster builds three store-backed nodes with the pull
+// backstop, a 600-byte send window and a 30 ms stall timeout; node 1's
+// update frames to node 3 wedge until the returned transport unstalls.
+func slowPeerCluster(t *testing.T) ([]*Node, *stallTransport) {
+	t.Helper()
 	srv, err := store.NewServer("127.0.0.1:0", store.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +311,6 @@ func TestSlowPeerDowngradeDrops(t *testing.T) {
 		}
 		o := Options{
 			RVM: r, Transport: hub.Endpoint(id), Nodes: ids,
-			BatchUpdates:     true,
 			PullOnStall:      true,
 			PeerLogs:         func(node uint32) wal.Device { return cli.LogDevice(node) },
 			SendWindow:       600,
@@ -375,6 +338,17 @@ func TestSlowPeerDowngradeDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return nodes, st
+}
+
+// TestSlowPeerDowngradeDrops runs the same wedge with the pull
+// backstop configured and a short stall timeout: instead of blocking
+// forever, the sender drops the wedged peer's backlog (slow_peer_drops
+// counts it), commits keep flowing, and the victim recovers the lost
+// records from the server logs on its next acquire — the same path
+// chaos-injected drops take.
+func TestSlowPeerDowngradeDrops(t *testing.T) {
+	nodes, st := slowPeerCluster(t)
 
 	// Every commit must complete despite the wedged peer: each stall
 	// resolves within the timeout by dropping the backlog.
@@ -395,5 +369,60 @@ func TestSlowPeerDowngradeDrops(t *testing.T) {
 	got := readUnder(t, nodes[2], 1, 0, 150)
 	if !bytes.Equal(got, compressible(150)) {
 		t.Fatal("victim did not recover dropped records via pull backstop")
+	}
+}
+
+// TestSlowPeerDowngradeBehindFullFrame: when the frame wedged on the
+// wire alone leaves no room in the window, dropping the (empty) backlog
+// frees nothing. The downgrade then drops the new record for that peer
+// too, so the commit returns after one stall timeout instead of waiting
+// on a transport that may never return.
+func TestSlowPeerDowngradeBehindFullFrame(t *testing.T) {
+	nodes, st := slowPeerCluster(t)
+	commitWrite(t, nodes[0], 1, 0, compressible(500))
+	// The frame to node 3 now holds ~500 of the window's 600 bytes and
+	// is stuck in Send, with nothing queued behind it.
+	waitFor(t, func() bool {
+		nodes[0].psMu.Lock()
+		ps := nodes[0].peerSenders[3]
+		nodes[0].psMu.Unlock()
+		if ps == nil {
+			return false
+		}
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		return len(ps.q) == 0 && ps.inFlight > 0
+	})
+
+	done := make(chan error, 1)
+	go func() {
+		tx := nodes[0].Begin(rvm.NoRestore)
+		if err := tx.Acquire(1); err != nil {
+			done <- err
+			return
+		}
+		if err := tx.Write(nodes[0].RVM().Region(1), 0, compressible(150)); err != nil {
+			done <- err
+			return
+		}
+		_, err := tx.Commit(rvm.NoFlush)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit still blocked behind the wedged frame after 5s")
+	}
+	if got := nodes[0].Stats().Counter(metrics.CtrSlowPeerDrops); got != 1 {
+		t.Fatalf("slow_peer_drops = %d, want 1 (the new record)", got)
+	}
+
+	st.unstall()
+	got := readUnder(t, nodes[2], 1, 0, 150)
+	if !bytes.Equal(got, compressible(150)) {
+		t.Fatal("victim did not recover the dropped record via pull backstop")
 	}
 }

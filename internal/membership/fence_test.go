@@ -17,7 +17,7 @@ import (
 // was broadcast by (or ordered against) a membership view that no
 // longer exists.
 
-const testUpdateType uint8 = 0x20
+const testUpdateType uint8 = 0x25 // coherency.MsgUpdateBatch
 
 type frameLog struct {
 	mu     sync.Mutex

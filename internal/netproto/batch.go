@@ -7,8 +7,10 @@ import (
 )
 
 // Batch framing: several independently-encoded payloads packed into one
-// transport message, so a group-committed log batch ships to each peer
-// as a single frame instead of one message per transaction.
+// transport message, so the records committed while a peer's previous
+// frame was on the wire ship to it as a single frame instead of one
+// message per transaction. Lock tokens carry their records in the same
+// layout.
 //
 // Layout (little endian):
 //

@@ -19,17 +19,18 @@ import (
 // checkpointed can be discarded"), attractive in the distributed
 // setting because it does not require the per-node logs to be merged.
 //
-// The sweep protocol: note the log length, then copy every page of
-// every mapped region to the permanent store, one page per Step. When
-// the sweep completes, every update that was logged before the sweep
-// began is reflected in some checkpointed page (pages are copied after
-// those updates were applied), so the log prefix up to the noted
-// length is redundant and is trimmed in place.
-//
-// Steps must be interleaved between transactions, not inside them: a
-// page copied mid-transaction would capture uncommitted bytes. The
-// coherency layer's lock boundaries are the natural interleaving
-// points (cf. Janssens & Fuchs checkpointing at lock releases, §5).
+// There is one driver, and it is fuzzy: BeginConcurrent installs a
+// dirty-page tracker; SweepRange copies a range while the caller holds
+// the lock covering it, so a copy never captures uncommitted bytes and
+// commits under other locks proceed (cf. Janssens & Fuchs checkpointing
+// at lock releases, §5); then, under a full quiesce, SweepQuiesced
+// covers what no lock does, ResweepDirty re-copies every page a commit
+// touched since its copy, and FinishQuiesced forces the images and
+// appends a checkpoint marker. Every update logged before the marker is
+// now reflected in the permanent images, so the log head up to the
+// marker can be trimmed (TrimLogHeadLogical). The coherency layer's
+// coordinated checkpoint drives it across a cluster; RVM.Checkpoint
+// drives it on one instance whose caller has quiesced commits.
 
 // PageWrite is one in-place write of a region image: Data lands at byte
 // offset Off.
@@ -84,13 +85,6 @@ type sweepBatch struct {
 type IncrementalCheckpointer struct {
 	r        *RVM
 	pageSize int
-
-	regions    []RegionID
-	regionIdx  int
-	pageIdx    int
-	sweepStart int64
-	active     bool
-	pagesDone  int
 
 	concurrent bool          // a fuzzy sweep (BeginConcurrent) is in progress
 	tracker    *dirtyTracker // this sweep's tracker, installed in r.dirty
@@ -187,102 +181,6 @@ func (r *RVM) NewIncrementalCheckpointer(pageSize int) *IncrementalCheckpointer 
 		pageSize = 8192
 	}
 	return &IncrementalCheckpointer{r: r, pageSize: pageSize}
-}
-
-// PagesDone reports pages written during the current (or last) sweep.
-func (c *IncrementalCheckpointer) PagesDone() int { return c.pagesDone }
-
-// beginSweep snapshots the mapped region set and the log length.
-func (c *IncrementalCheckpointer) beginSweep() error {
-	c.r.mu.Lock()
-	c.regions = c.regions[:0]
-	for id := range c.r.regions {
-		c.regions = append(c.regions, id)
-	}
-	c.r.mu.Unlock()
-	for i := 1; i < len(c.regions); i++ { // insertion sort: tiny sets
-		for j := i; j > 0 && c.regions[j] < c.regions[j-1]; j-- {
-			c.regions[j], c.regions[j-1] = c.regions[j-1], c.regions[j]
-		}
-	}
-	sz, err := c.r.log.Size()
-	if err != nil {
-		return err
-	}
-	c.sweepStart = sz
-	c.regionIdx, c.pageIdx = 0, 0
-	c.pagesDone = 0
-	c.active = true
-	return nil
-}
-
-// Step checkpoints the next page. It returns done=true when a sweep
-// has just completed (and the log head has been trimmed). Calling Step
-// again starts a new sweep.
-func (c *IncrementalCheckpointer) Step() (done bool, err error) {
-	if !c.active {
-		if err := c.beginSweep(); err != nil {
-			return false, err
-		}
-		if len(c.regions) == 0 {
-			c.active = false
-			return true, nil
-		}
-	}
-	reg := c.r.Region(c.regions[c.regionIdx])
-	if reg == nil {
-		// Region unmapped mid-sweep: skip it.
-		c.regionIdx++
-		return c.finishIfDone()
-	}
-	start := c.pageIdx * c.pageSize
-	if start >= reg.Size() {
-		c.regionIdx++
-		c.pageIdx = 0
-		return c.finishIfDone()
-	}
-	end := start + c.pageSize
-	if end > reg.Size() {
-		end = reg.Size()
-	}
-	page := []PageWrite{{Off: int64(start), Data: reg.Bytes()[start:end]}}
-	if err := StorePages(c.r.data, uint32(reg.ID()), page); err != nil {
-		return false, fmt.Errorf("rvm: checkpoint page %d of region %d: %w", c.pageIdx, reg.ID(), err)
-	}
-	c.pagesDone++
-	c.pageIdx++
-	if c.pageIdx*c.pageSize >= reg.Size() {
-		c.regionIdx++
-		c.pageIdx = 0
-	}
-	return c.finishIfDone()
-}
-
-func (c *IncrementalCheckpointer) finishIfDone() (bool, error) {
-	if c.regionIdx < len(c.regions) {
-		return false, nil
-	}
-	c.active = false
-	if err := c.r.data.Sync(); err != nil {
-		return true, err
-	}
-	if err := c.r.TrimLogHead(c.sweepStart); err != nil {
-		return true, fmt.Errorf("rvm: trim log head: %w", err)
-	}
-	return true, nil
-}
-
-// Run performs a complete sweep.
-func (c *IncrementalCheckpointer) Run() error {
-	for {
-		done, err := c.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
 }
 
 // StorePages writes a batch of pages of one region image to ds. Every
@@ -384,13 +282,13 @@ func (c *IncrementalCheckpointer) stopWriter() {
 	<-c.writerDone
 }
 
-// BeginConcurrent starts a fuzzy sweep: the log length is noted and a
-// dirty-page tracker is installed, so pages written by commits, remote
-// applies and aborts racing the sweep are recorded for re-copy. The
-// caller then drives SweepRange (holding the covering segment lock for
-// each range, which keeps uncommitted bytes out of the copies), and
-// seals the checkpoint with SweepQuiesced for whatever no lock covers,
-// ResweepDirty and FinishQuiesced under a full quiesce.
+// BeginConcurrent starts a fuzzy sweep: a dirty-page tracker is
+// installed, so pages written by commits, remote applies and aborts
+// racing the sweep are recorded for re-copy. The caller then drives
+// SweepRange (holding the covering segment lock for each range, which
+// keeps uncommitted bytes out of the copies), and seals the checkpoint
+// with SweepQuiesced for whatever no lock covers, ResweepDirty and
+// FinishQuiesced under a full quiesce.
 func (c *IncrementalCheckpointer) BeginConcurrent() error {
 	if c.concurrent {
 		return errors.New("rvm: concurrent sweep already in progress")
@@ -407,13 +305,6 @@ func (c *IncrementalCheckpointer) BeginConcurrent() error {
 	if !c.r.dirty.CompareAndSwap(nil, t) {
 		return errors.New("rvm: another fuzzy sweep is already in progress on this instance")
 	}
-	sz, err := c.r.log.Size()
-	if err != nil {
-		c.r.dirty.CompareAndSwap(t, nil)
-		return err
-	}
-	c.sweepStart = sz
-	c.pagesDone = 0
 	c.tracker = t
 	c.concurrent = true
 	c.batches = make(chan sweepBatch, 1)
@@ -477,7 +368,6 @@ func (c *IncrementalCheckpointer) sweep(id RegionID, off, n uint64, copied bool)
 	}
 	ps := uint64(c.pageSize)
 	pages := int((end-1)/ps - off/ps + 1)
-	c.pagesDone += pages
 	c.r.stats.Add(metrics.CtrCkptSweepPages, int64(pages))
 	c.r.stats.Add(metrics.CtrCkptSweepBytes, int64(end-off))
 	return nil
@@ -522,7 +412,6 @@ func (c *IncrementalCheckpointer) ResweepDirty() (int, error) {
 	if err := c.Drain(); err != nil {
 		return 0, fmt.Errorf("rvm: checkpoint page write: %w", err)
 	}
-	c.pagesDone += done
 	c.r.stats.Add(metrics.CtrCkptDirtyPages, int64(done))
 	return done, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lbc/internal/metrics"
 	"lbc/internal/wal"
 )
 
@@ -13,21 +14,20 @@ func TestIncrementalSweepCheckpointsEverything(t *testing.T) {
 	log := wal.NewMemDevice()
 	data := NewMemStore()
 	r, _ := Open(Options{Node: 1, Log: log, Data: data})
-	reg, _ := r.Map(1, 3*4096+100) // deliberately not page-aligned
+	reg, _ := r.Map(1, 3*8192+100) // deliberately not page-aligned
 
 	tx := r.Begin(NoRestore)
 	tx.SetRange(reg, 0, 5)
 	copy(reg.Bytes(), "head!")
-	tx.SetRange(reg, 3*4096+90, 5)
-	copy(reg.Bytes()[3*4096+90:], "tail!")
+	tx.SetRange(reg, 3*8192+90, 5)
+	copy(reg.Bytes()[3*8192+90:], "tail!")
 	tx.Commit(NoFlush)
 
-	c := r.NewIncrementalCheckpointer(4096)
-	if err := c.Run(); err != nil {
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if c.PagesDone() != 4 { // 3 full pages + 100-byte tail
-		t.Fatalf("pages done = %d", c.PagesDone())
+	if got := r.Stats().Counter(metrics.CtrCkptSweepPages); got != 4 { // 3 full pages + 100-byte tail
+		t.Fatalf("pages swept = %d", got)
 	}
 	img, err := data.LoadRegion(1)
 	if err != nil {
@@ -36,68 +36,20 @@ func TestIncrementalSweepCheckpointsEverything(t *testing.T) {
 	if !bytes.Equal(img, reg.Bytes()) {
 		t.Fatal("checkpointed image differs from live image")
 	}
-	// The pre-sweep log is redundant and trimmed.
+	// The pre-checkpoint log and the marker are redundant and trimmed.
 	if sz, _ := log.Size(); sz != 0 {
 		t.Fatalf("log not trimmed: %d bytes", sz)
 	}
 }
 
-func TestIncrementalSweepKeepsMidSweepCommits(t *testing.T) {
-	log := wal.NewMemDevice()
-	data := NewMemStore()
-	r, _ := Open(Options{Node: 1, Log: log, Data: data})
-	reg, _ := r.Map(1, 4*4096)
-
-	tx := r.Begin(NoRestore)
-	tx.SetRange(reg, 0, 4)
-	copy(reg.Bytes(), "pre ")
-	tx.Commit(NoFlush)
-
-	c := r.NewIncrementalCheckpointer(4096)
-	// Take two steps, then commit between steps (at a "lock boundary").
-	for i := 0; i < 2; i++ {
-		if done, err := c.Step(); err != nil || done {
-			t.Fatalf("step %d: done=%v err=%v", i, done, err)
-		}
-	}
-	tx2 := r.Begin(NoRestore)
-	tx2.SetRange(reg, 0, 4) // page 0: already checkpointed this sweep!
-	copy(reg.Bytes(), "mid ")
-	tx2.Commit(NoFlush)
-
-	for {
-		done, err := c.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	// The mid-sweep commit landed after sweepStart, so its record must
-	// survive the head trim: recovery must reproduce "mid ".
-	txs, err := wal.ReadDevice(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(txs) != 1 || string(txs[0].Ranges[0].Data) != "mid " {
-		t.Fatalf("log after sweep holds %d records", len(txs))
-	}
-	if _, err := Recover(log, data, RecoverOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	img, _ := data.LoadRegion(1)
-	if string(img[:4]) != "mid " {
-		t.Fatalf("image = %q", img[:4])
-	}
-}
-
 func TestIncrementalSweepNoRegions(t *testing.T) {
-	r, _ := Open(Options{Node: 1})
-	c := r.NewIncrementalCheckpointer(4096)
-	done, err := c.Step()
-	if err != nil || !done {
-		t.Fatalf("empty sweep: done=%v err=%v", done, err)
+	log := wal.NewMemDevice()
+	r, _ := Open(Options{Node: 1, Log: log, Data: NewMemStore()})
+	if err := r.Checkpoint(); err != nil {
+		t.Fatalf("empty checkpoint: %v", err)
+	}
+	if sz, _ := log.Size(); sz != 0 {
+		t.Fatalf("empty checkpoint left %d log bytes", sz)
 	}
 }
 
@@ -157,9 +109,8 @@ func TestDirStorePageWrites(t *testing.T) {
 }
 
 // TestPropertyIncrementalEqualsFullCheckpoint: for any committed
-// state, an incremental sweep leaves the permanent image identical to
-// a whole-image checkpoint, and recovery over the trimmed log is a
-// no-op that preserves it.
+// state, a checkpoint leaves the permanent image identical to the live
+// image, and recovery over the trimmed log is a no-op that preserves it.
 func TestPropertyIncrementalEqualsFullCheckpoint(t *testing.T) {
 	f := func(seed int64, nTx uint8) bool {
 		log := wal.NewMemDevice()
@@ -176,7 +127,7 @@ func TestPropertyIncrementalEqualsFullCheckpoint(t *testing.T) {
 			tx.Commit(NoFlush)
 		}
 		want := append([]byte(nil), reg.Bytes()...)
-		if err := r.NewIncrementalCheckpointer(1024).Run(); err != nil {
+		if err := r.Checkpoint(); err != nil {
 			return false
 		}
 		img, _ := data.LoadRegion(1)
