@@ -51,11 +51,15 @@ import (
 // shared by every targeted peer's queue behind a refcount and recycles
 // when the last peer's frame has been sent. A drain builds the standard
 // batch-frame layout as a vector — one pooled skeleton holding the
-// count and length words, aliased by the parts list — and hands the
-// same vector either to wal.CompressChunks (compressed path, one pooled
-// output frame) or to netproto.SendVec (plain path, scatter-gather all
-// the way to the socket on TCPMesh). No intermediate flatten happens on
-// the plain TCP path.
+// count and length words, aliased by the parts list. A frame of one
+// record is the same bytes for every peer, so its compressed form is
+// computed once, by whichever sender ships it first, and kept beside
+// the record (sharedPayload.solo) for the others; it recycles with the
+// record. A frame of several records is deflated by its own sender into
+// one pooled output frame. Either way the frame goes to netproto.SendVec
+// — compressed as one part, plain as the vector itself — so membership's
+// fence adds its epoch as one more part instead of copying the frame,
+// and the plain TCP path is scatter-gather all the way to the socket.
 
 // Per-record format tags inside a batch frame.
 const (
@@ -90,17 +94,58 @@ var errBadBatchC = errors.New("coherency: malformed compressed batch frame")
 var errBadTag = errors.New("coherency: bad record format tag")
 
 // sharedPayload is one encoded, format-tagged record shared by every
-// targeted peer's send queue; the pooled buffer recycles when the last
+// targeted peer's send queue; the pooled buffers recycle when the last
 // holder releases it.
 type sharedPayload struct {
 	buf  []byte
 	refs atomic.Int32
+
+	// solo is the MsgUpdateBatchC payload of the frame that carries
+	// this record alone. The first sender to ship that frame deflates
+	// it and every other sender sends the same bytes; nil when that
+	// frame ships plain.
+	soloOnce sync.Once
+	solo     []byte
 }
 
 func (sp *sharedPayload) release() {
 	if sp.refs.Add(-1) == 0 {
 		bufpool.Put(sp.buf)
+		if sp.solo != nil {
+			bufpool.Put(sp.solo)
+		}
 	}
+}
+
+// soloFrame returns the compressed payload of the one-record frame
+// holding sp, or nil when that frame ships plain; the bytes are shared
+// and read-only. parts is the frame's standard layout, and the
+// compress-or-skip decision is made once, by the heuristic ship uses
+// for every frame.
+func (sp *sharedPayload) soloFrame(n *Node, parts [][]byte, rawSize int) []byte {
+	sp.soloOnce.Do(func() { sp.solo = n.deflateFrame(parts, rawSize) })
+	return sp.solo
+}
+
+// deflateFrame returns the MsgUpdateBatchC payload of the frame whose
+// standard layout is parts (rawSize bytes) in a pooled buffer, or nil
+// when the frame is too small or DEFLATE saves too little to be worth
+// shipping compressed.
+func (n *Node) deflateFrame(parts [][]byte, rawSize int) []byte {
+	if rawSize < compressMinBytes {
+		return nil
+	}
+	frame := bufpool.Get(4 + rawSize)
+	var hdr [4]byte
+	putU32(hdr[:], uint32(rawSize))
+	frame = append(frame, hdr[:]...)
+	frame = wal.CompressChunks(frame, parts...)
+	n.stats.Add(metrics.CtrFramesDeflated, 1)
+	if len(frame) > rawSize-rawSize/compressMinSavingDiv {
+		bufpool.Put(frame)
+		return nil
+	}
+	return frame
 }
 
 // encodeTaggedRecord encodes rec directly behind its one-byte batch
@@ -330,7 +375,9 @@ func (ps *peerSender) run() {
 // is built as a vector — count and length words in one pooled skeleton,
 // record payloads aliased in place — so the compressed path deflates it
 // without materializing the concatenation and the plain path hands it
-// to the transport as a scatter-gather write.
+// to the transport as a scatter-gather write. A one-record frame's
+// compressed payload is computed once and shared by every peer
+// (soloFrame).
 func (ps *peerSender) ship(batch []*sharedPayload) {
 	n := ps.n
 	traced := n.trace.Enabled()
@@ -354,31 +401,25 @@ func (ps *peerSender) ship(batch []*sharedPayload) {
 		rawSize += 4 + len(sp.buf)
 	}
 
-	var err error
-	wire := rawSize
-	compressed := false
-	sent := false
+	var frame []byte
 	if !n.noCompress {
-		if rawSize >= compressMinBytes {
-			frame := bufpool.Get(4 + rawSize)
-			var hdr [4]byte
-			putU32(hdr[:], uint32(rawSize))
-			frame = append(frame, hdr[:]...)
-			frame = wal.CompressChunks(frame, parts...)
-			if len(frame) <= rawSize-rawSize/compressMinSavingDiv {
-				compressed = true
-				wire = len(frame)
-				err = n.tr.Send(ps.peer, MsgUpdateBatchC, frame)
-				sent = true
-			} else {
-				n.stats.Add(metrics.CtrCompressSkips, 1)
-			}
-			bufpool.Put(frame)
-		} else {
+		if len(batch) == 1 {
+			// Almost every frame carries one record, and that frame is the
+			// same bytes for every peer: deflate it once per record.
+			frame = batch[0].soloFrame(n, parts, rawSize)
+		} else if frame = n.deflateFrame(parts, rawSize); frame != nil {
+			defer bufpool.Put(frame)
+		}
+		if frame == nil {
 			n.stats.Add(metrics.CtrCompressSkips, 1)
 		}
 	}
-	if !sent {
+	var err error
+	wire := rawSize
+	if frame != nil {
+		wire = len(frame)
+		err = netproto.SendVec(n.tr, ps.peer, MsgUpdateBatchC, [][]byte{frame})
+	} else {
 		err = netproto.SendVec(n.tr, ps.peer, MsgUpdateBatch, parts)
 	}
 	// The phase is charged before the frame is counted, so a reader that
@@ -395,7 +436,7 @@ func (ps *peerSender) ship(batch []*sharedPayload) {
 	n.stats.Add(metrics.BytesSentTo(uint32(ps.peer)), int64(wire))
 	n.stats.Add(metrics.CtrBatchFrames, 1)
 	n.stats.Add(metrics.CtrBatchRecords, int64(len(batch)))
-	if compressed {
+	if frame != nil {
 		n.stats.Add(metrics.CtrCompressedFrames, 1)
 	}
 	if traced {

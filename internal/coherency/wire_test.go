@@ -426,3 +426,77 @@ func TestSlowPeerDowngradeBehindFullFrame(t *testing.T) {
 		t.Fatal("victim did not recover the dropped record via pull backstop")
 	}
 }
+
+// frameRecorder wraps a node's transport and keeps a copy of every
+// compressed update frame it sends, per destination. It records only
+// the vector path: a compressed frame sent through plain Send would
+// reach a membership fence's copying path and fails the test instead.
+type frameRecorder struct {
+	netproto.Transport
+	t    *testing.T
+	mu   sync.Mutex
+	sent map[netproto.NodeID][][]byte
+}
+
+func (r *frameRecorder) Send(to netproto.NodeID, typ uint8, payload []byte) error {
+	if typ == MsgUpdateBatchC {
+		r.t.Errorf("compressed frame to %d sent through Send, not SendV", to)
+	}
+	return r.Transport.Send(to, typ, payload)
+}
+
+func (r *frameRecorder) SendV(to netproto.NodeID, typ uint8, parts [][]byte) error {
+	if typ == MsgUpdateBatchC {
+		r.mu.Lock()
+		r.sent[to] = append(r.sent[to], bytes.Join(parts, nil))
+		r.mu.Unlock()
+	}
+	return netproto.SendVec(r.Transport, to, typ, parts)
+}
+
+// TestBroadcastDeflatesOnce: a record that ships alone to two peers is
+// deflated once, and both peers receive the same compressed bytes.
+func TestBroadcastDeflatesOnce(t *testing.T) {
+	var rec *frameRecorder
+	nodes := testCluster(t, 3, 4096, func(i int, o *Options) {
+		if i == 0 {
+			rec = &frameRecorder{Transport: o.Transport, t: t, sent: map[netproto.NodeID][][]byte{}}
+			o.Transport = rec
+		}
+	})
+	const commits = 8
+	for i := 0; i < commits; i++ {
+		data := compressible(512)
+		data[0] = byte(i)
+		commitWrite(t, nodes[0], 1, 0, data)
+		// Each record drains before the next commit, so every frame
+		// carries exactly one record.
+		waitFor(t, func() bool { return windowsDrained(nodes[0]) })
+	}
+	for _, n := range nodes[1:] {
+		if got := readUnder(t, n, 1, 1, 511); !bytes.Equal(got, compressible(512)[1:]) {
+			t.Fatalf("node %d diverged", n.Self())
+		}
+	}
+	st := nodes[0].Stats()
+	if got := st.Counter(metrics.CtrBatchRecords); got != 2*commits {
+		t.Fatalf("%d records shipped, want %d", got, 2*commits)
+	}
+	if got := st.Counter(metrics.CtrFramesDeflated); got != commits {
+		t.Fatalf("frames_deflated = %d, want one per commit (%d)", got, commits)
+	}
+	if got := st.Counter(metrics.CtrCompressedFrames); got != 2*commits {
+		t.Fatalf("compressed_frames = %d, want one per peer per commit (%d)", got, 2*commits)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	a, b := rec.sent[2], rec.sent[3]
+	if len(a) != commits || len(b) != commits {
+		t.Fatalf("compressed frames per peer = %d, %d; want %d each", len(a), len(b), commits)
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("commit %d: peers received different compressed frames", i)
+		}
+	}
+}

@@ -423,6 +423,7 @@ const (
 	CtrBytesSentRaw     = "bytes_sent_raw"     // pre-compression update payload bytes
 	CtrCompressedFrames = "compressed_frames"  // MsgUpdateBatchC frames shipped
 	CtrCompressSkips    = "compress_skips"     // batches sent plain (small or incompressible)
+	CtrFramesDeflated   = "frames_deflated"    // DEFLATE runs over a batch frame (a shared frame counts once)
 	CtrSendStalls       = "send_window_stalls" // enqueues that blocked on a full send window
 	CtrSlowPeerDrops    = "slow_peer_drops"    // queued records dropped to unwedge a stalled peer
 
@@ -499,7 +500,7 @@ var fixedIdx = buildIndex([]string{
 	CtrStoreReplicaBehind,
 	CtrLockMigrations, CtrLockMigrationsAborted, CtrLockMigrationRetries,
 	CtrInterestRegs, CtrUpdateFramesRecv,
-	CtrBytesSentRaw, CtrCompressedFrames, CtrCompressSkips,
+	CtrBytesSentRaw, CtrCompressedFrames, CtrCompressSkips, CtrFramesDeflated,
 	CtrSendStalls, CtrSlowPeerDrops,
 	CtrLogCorruption, CtrRepairRecords, CtrRetriesExhausted,
 }, maxFixedCounters)

@@ -407,6 +407,10 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 			return nil, errors.New("store: bad TruncateLog request")
 		}
 		node := binary.LittleEndian.Uint32(body)
+		size := int64(binary.LittleEndian.Uint64(body[4:]))
+		if size < 0 {
+			return nil, fmt.Errorf("store: TruncateLog size %d out of range", size)
+		}
 		dev, err := s.Log(node)
 		if err != nil {
 			return nil, err
@@ -414,7 +418,7 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		mu := s.logOpLock(node)
 		mu.Lock()
 		defer mu.Unlock()
-		return nil, dev.Truncate(int64(binary.LittleEndian.Uint64(body[4:])))
+		return nil, dev.Truncate(size)
 
 	case opResetLog:
 		if len(body) != 4 {

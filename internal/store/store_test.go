@@ -243,3 +243,20 @@ func TestBadOpReturnsError(t *testing.T) {
 		t.Fatalf("connection dead after error: %v", err)
 	}
 }
+
+// TestTruncateLogNegativeSize: a TruncateLog request carrying a size
+// that decodes negative is answered with an error. It used to reach the
+// in-memory log device, panic there and take the server down.
+func TestTruncateLogNegativeSize(t *testing.T) {
+	_, cli := newPair(t)
+	dev := cli.LogDevice(1)
+	if _, err := dev.Append([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Truncate(-1); err == nil {
+		t.Fatal("TruncateLog(-1) accepted")
+	}
+	if sz, err := dev.Size(); err != nil || sz != 6 {
+		t.Fatalf("size after rejected truncate = %d, %v; want 6", sz, err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -179,29 +180,101 @@ func (d *FileDevice) TrimHead(upTo int64) error {
 // Close implements Device.
 func (d *FileDevice) Close() error { return d.f.Close() }
 
-// MemDevice is an in-memory Device for tests and for "disk logging
-// disabled" experiment configurations (§4: "we disabled RVM disk logging
-// so that we could isolate the costs associated with coherency"). It
-// models volatility: Sync advances a durable watermark, and
-// CrashUnsynced discards everything above it — the fate of no-flush
-// commits in a crash.
+// memPageSize is MemDevice's page. Appends fill the tail page, and
+// TrimHead, Truncate and CrashUnsynced drop whole pages, so no
+// operation copies the log; memFirstPage is where a log's first page
+// starts, growing by doubling up to a full page, so a short log does
+// not hold a whole page.
+const (
+	memPageSize  = 1 << 20
+	memFirstPage = 4 << 10
+)
+
+// MemDevice is an in-memory Device. It is the store server's log for
+// every node (internal/store keeps each node's log in one), the
+// "disk logging disabled" experiment configuration (§4: "we disabled
+// RVM disk logging so that we could isolate the costs associated with
+// coherency"), and the test log. It models volatility: Sync advances a
+// durable watermark, and CrashUnsynced discards everything above it —
+// the fate of no-flush commits in a crash.
+//
+// The log lives in fixed-size pages, never in one growing slice, so a
+// long log is never copied to grow and a trimmed head frees its pages.
+// A device holding N bytes keeps at most N + one page allocated, plus
+// the trimmed part of its first page.
 type MemDevice struct {
-	mu     sync.Mutex
-	buf    []byte
+	mu       sync.Mutex
+	pageSize int
+	// pages hold the log from offset head of pages[0] on. Each page's
+	// length is its fill: every page but the last is full, so log
+	// offset off sits at page (head+off)/pageSize.
+	pages  [][]byte
+	head   int
+	size   int
 	syncs  int
 	synced int // bytes guaranteed durable
 }
 
 // NewMemDevice returns an empty in-memory log device.
-func NewMemDevice() *MemDevice { return &MemDevice{} }
+func NewMemDevice() *MemDevice { return newPagedMemDevice(memPageSize) }
+
+// newPagedMemDevice returns an empty device with the given page size
+// (tests use small pages to cross page boundaries).
+func newPagedMemDevice(pageSize int) *MemDevice {
+	return &MemDevice{pageSize: pageSize}
+}
 
 // Append implements Device.
 func (d *MemDevice) Append(p []byte) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	off := int64(len(d.buf))
-	d.buf = append(d.buf, p...)
+	off := int64(d.size)
+	for len(p) > 0 {
+		if n := len(d.pages); n == 0 || len(d.pages[n-1]) == d.pageSize {
+			d.pages = append(d.pages, nil)
+		}
+		pg := d.pages[len(d.pages)-1]
+		if len(pg) == cap(pg) {
+			// Only a log's first page grows; every later page is
+			// allocated whole.
+			c := d.pageSize
+			if len(d.pages) == 1 {
+				c = min(d.pageSize, max(2*cap(pg), len(pg)+len(p), memFirstPage))
+			}
+			pg = append(make([]byte, 0, c), pg...)
+		}
+		k := copy(pg[len(pg):cap(pg)], p)
+		d.pages[len(d.pages)-1] = pg[:len(pg)+k]
+		d.size += k
+		p = p[k:]
+	}
 	return off, nil
+}
+
+// copyOut copies log bytes from offset off into dst, stopping at the
+// log end, and returns how many it copied. The caller holds d.mu and
+// has checked 0 <= off <= size.
+func (d *MemDevice) copyOut(dst []byte, off int) int {
+	n := 0
+	for pos := d.head + off; n < len(dst) && off+n < d.size; {
+		k := copy(dst[n:], d.pages[pos/d.pageSize][pos%d.pageSize:])
+		n += k
+		pos += k
+	}
+	return n
+}
+
+// cut drops every log byte at and after offset size, page by page.
+func (d *MemDevice) cut(size int) {
+	end := d.head + size
+	keep := (end + d.pageSize - 1) / d.pageSize
+	clear(d.pages[keep:])
+	d.pages = d.pages[:keep]
+	if keep > 0 {
+		d.pages[keep-1] = d.pages[keep-1][:end-(keep-1)*d.pageSize]
+	}
+	d.size = size
+	d.synced = min(d.synced, size)
 }
 
 // Sync implements Device: everything appended so far becomes durable.
@@ -209,7 +282,7 @@ func (d *MemDevice) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.syncs++
-	d.synced = len(d.buf)
+	d.synced = d.size
 	return nil
 }
 
@@ -218,7 +291,7 @@ func (d *MemDevice) Sync() error {
 func (d *MemDevice) CrashUnsynced() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buf = d.buf[:d.synced]
+	d.cut(d.synced)
 }
 
 // Syncs returns how many times Sync has been called.
@@ -232,18 +305,18 @@ func (d *MemDevice) Syncs() int {
 func (d *MemDevice) Size() (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.buf)), nil
+	return int64(d.size), nil
 }
 
 // Open implements Device.
 func (d *MemDevice) Open(from int64) (io.ReadCloser, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if from > int64(len(d.buf)) {
-		return nil, fmt.Errorf("wal: offset %d beyond log end %d", from, len(d.buf))
+	if from < 0 || from > int64(d.size) {
+		return nil, fmt.Errorf("wal: offset %d outside log [0, %d]", from, d.size)
 	}
-	cp := make([]byte, int64(len(d.buf))-from)
-	copy(cp, d.buf[from:])
+	cp := make([]byte, d.size-int(from))
+	d.copyOut(cp, int(from))
 	return io.NopCloser(bytes.NewReader(cp)), nil
 }
 
@@ -252,10 +325,10 @@ func (d *MemDevice) Open(from int64) (io.ReadCloser, error) {
 func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if off < 0 || off > int64(len(d.buf)) {
-		return 0, fmt.Errorf("wal: offset %d beyond log end %d", off, len(d.buf))
+	if off < 0 || off > int64(d.size) {
+		return 0, fmt.Errorf("wal: offset %d outside log [0, %d]", off, d.size)
 	}
-	n := copy(p, d.buf[off:])
+	n := d.copyOut(p, int(off))
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -266,46 +339,42 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (int, error) {
 func (d *MemDevice) Truncate(size int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if size > int64(len(d.buf)) {
-		return fmt.Errorf("wal: truncate %d beyond log end %d", size, len(d.buf))
+	if size < 0 || size > int64(d.size) {
+		return fmt.Errorf("wal: truncate %d outside log [0, %d]", size, d.size)
 	}
-	d.buf = d.buf[:size]
-	if d.synced > len(d.buf) {
-		d.synced = len(d.buf)
-	}
+	d.cut(int(size))
 	return nil
 }
 
 // Reset implements Device.
 func (d *MemDevice) Reset() error { return d.Truncate(0) }
 
-// TrimHead implements HeadTrimmer. The in-memory swap is atomic under
-// the device mutex; the durable watermark shifts with the data.
+// TrimHead implements HeadTrimmer: the pages wholly below upTo are
+// dropped and the tail stays where it is. The swap is atomic under the
+// device mutex; the durable watermark shifts with the data.
 func (d *MemDevice) TrimHead(upTo int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if upTo <= 0 {
-		return nil
+	if upTo < 0 || upTo > int64(d.size) {
+		return fmt.Errorf("wal: trim head %d outside log [0, %d]", upTo, d.size)
 	}
-	if upTo > int64(len(d.buf)) {
-		return fmt.Errorf("wal: trim head %d beyond log end %d", upTo, len(d.buf))
-	}
-	d.buf = append(d.buf[:0:0], d.buf[upTo:]...)
-	d.synced -= int(upTo)
-	if d.synced < 0 {
-		d.synced = 0
-	}
+	d.head += int(upTo)
+	d.size -= int(upTo)
+	d.synced = max(d.synced-int(upTo), 0)
+	drop := d.head / d.pageSize
+	d.pages = slices.Delete(d.pages, 0, drop)
+	d.head -= drop * d.pageSize
 	return nil
 }
 
 // Close implements Device.
 func (d *MemDevice) Close() error { return nil }
 
-// Bytes returns a copy of the device contents (test helper).
+// Bytes returns a copy of the device contents.
 func (d *MemDevice) Bytes() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cp := make([]byte, len(d.buf))
-	copy(cp, d.buf)
+	cp := make([]byte, d.size)
+	d.copyOut(cp, 0)
 	return cp
 }

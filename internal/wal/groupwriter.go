@@ -104,7 +104,7 @@ func (w *GroupWriter) Commit(tx *TxRecord, flush bool) (int64, int, error) {
 		t0 = time.Now()
 	}
 	ent := groupEntry{
-		enc:   AppendStandard(nil, tx),
+		enc:   AppendStandard(make([]byte, 0, StandardSize(tx)), tx),
 		flush: flush,
 		done:  make(chan groupResult, 1),
 	}
