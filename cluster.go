@@ -24,29 +24,26 @@ import (
 type Option func(*clusterConfig)
 
 type clusterConfig struct {
-	tcp          bool
-	propagation  coherency.Propagation
-	wire         coherency.WireFormat
-	pageSize     int
-	checkLocks   bool
-	versioned    map[int]bool
-	useStore     bool
-	replicated   bool
-	quorum       int
-	seedImages   map[RegionID][]byte
-	policy       rangetree.Policy
-	diskLogDir   string
-	inj          *chaos.Injector
-	acqTimeout   time.Duration
-	groupCommit  bool
-	noCompress   bool
-	sendWindow   int
-	sendStall    time.Duration
-	traceCap     int
-	applyWorkers int
-	member       *MembershipOptions
-	migrate      bool
-	interest     bool
+	tcp         bool
+	propagation coherency.Propagation
+	wire        coherency.WireFormat
+	pageSize    int
+	checkLocks  bool
+	versioned   map[int]bool
+	useStore    bool
+	replicated  bool
+	quorum      int
+	seedImages  map[RegionID][]byte
+	policy      rangetree.Policy
+	diskLogDir  string
+	inj         *chaos.Injector
+	acqTimeout  time.Duration
+	groupCommit bool
+	noCompress  bool
+	traceCap    int
+	member      *MembershipOptions
+	migrate     bool
+	interest    bool
 }
 
 // MembershipOptions configures live failure handling (WithMembership).
@@ -188,34 +185,11 @@ func WithUncompressedUpdates() Option {
 	return func(c *clusterConfig) { c.noCompress = true }
 }
 
-// WithSendWindow bounds, per peer on every node, the bytes queued plus
-// in flight in the batch sender (default 1 MiB). A full window blocks
-// the committing transaction — backpressure toward the slow peer —
-// instead of buffering without bound.
-func WithSendWindow(bytes int) Option {
-	return func(c *clusterConfig) { c.sendWindow = bytes }
-}
-
-// WithSendStallTimeout sets how long a commit blocks on one peer's full
-// send window before the slow-peer policy drops that peer's backlog in
-// favor of the server-log pull backstop (default 500ms; only effective
-// when the pull path is configured).
-func WithSendStallTimeout(d time.Duration) Option {
-	return func(c *clusterConfig) { c.sendStall = d }
-}
-
 // WithTracing gives every node a trace ring of the given span capacity,
 // recording the commit path (begin → lock → group-commit → disk → net →
 // peer apply) for Cluster.Tracer to dump or inspect.
 func WithTracing(capacity int) Option {
 	return func(c *clusterConfig) { c.traceCap = capacity }
-}
-
-// WithApplyWorkers sets the size of every node's parallel apply worker
-// pool (default min(GOMAXPROCS, 8)). Records on disjoint lock chains
-// install concurrently; each chain keeps its §3.4 order.
-func WithApplyWorkers(k int) Option {
-	return func(c *clusterConfig) { c.applyWorkers = k }
 }
 
 // WithMembership gives every node a heartbeat failure detector and an
@@ -548,23 +522,20 @@ func (c *Cluster) startNode(i int, restart bool) error {
 		})
 	}
 	n, err := coherency.New(coherency.Options{
-		RVM:              r,
-		Transport:        tr,
-		Nodes:            c.ids,
-		Propagation:      cfg.propagation,
-		Wire:             cfg.wire,
-		PageSize:         cfg.pageSize,
-		PeerLogs:         peerLogs,
-		Versioned:        cfg.versioned[i],
-		CheckLocks:       cfg.checkLocks,
-		PullOnStall:      cfg.inj != nil && cfg.useStore,
-		InterestRouting:  cfg.interest,
-		AcquireTimeout:   cfg.acqTimeout,
-		NoCompress:       cfg.noCompress,
-		SendWindow:       cfg.sendWindow,
-		SendStallTimeout: cfg.sendStall,
-		ApplyWorkers:     cfg.applyWorkers,
-		Membership:       mon,
+		RVM:             r,
+		Transport:       tr,
+		Nodes:           c.ids,
+		Propagation:     cfg.propagation,
+		Wire:            cfg.wire,
+		PageSize:        cfg.pageSize,
+		PeerLogs:        peerLogs,
+		Versioned:       cfg.versioned[i],
+		CheckLocks:      cfg.checkLocks,
+		PullOnStall:     cfg.inj != nil && cfg.useStore,
+		InterestRouting: cfg.interest,
+		AcquireTimeout:  cfg.acqTimeout,
+		NoCompress:      cfg.noCompress,
+		Membership:      mon,
 	})
 	if err != nil {
 		return err

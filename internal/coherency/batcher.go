@@ -34,13 +34,13 @@ import (
 // authority — cross-frame or cross-peer reordering parks records until
 // their predecessors arrive.
 //
-// Flow control: the per-peer window (Options.SendWindow) caps bytes
+// Flow control: the per-peer window (Options.sendWindow) caps bytes
 // queued plus in flight. A full window blocks the committing
 // transaction inside broadcast — the same backpressure shape as
 // wal.GroupWriter's bounded queue — but only against the slow peer;
 // frames to every other peer keep flowing on their own senders. When
 // the pull backstop is configured, a peer that stays stalled past
-// Options.SendStallTimeout is downgraded: its queued backlog is
+// Options.sendStallTimeout is downgraded: its queued backlog is
 // dropped (counted slow_peer_drops), as is the committing record if the
 // frame on the wire still leaves no room, and the records reach it
 // through the server-log pull at its next acquire, exactly as after a

@@ -58,34 +58,51 @@ import (
 // stale cut removes only records it actually covers and never ones
 // appended after it was recorded.
 //
-// Protocol framing:
+// Protocol framing: two codes. A request names its phase; a reply
+// echoes the phase and carries a status.
 //
-//	Begin{epoch}      coordinator -> peers   peers note their logical log
-//	BeginAck{epoch}   peer -> coordinator    end (the cut candidate) and ack,
-//	Busy{epoch}       peer -> coordinator    or refuse: they are coordinating
+//	Checkpoint{Begin, epoch}      coordinator -> peers    peers note their logical log end
+//	Reply{Begin, status, epoch}   peer -> coordinator     (the cut candidate) and ack: ok,
+//	                                                      or reads (ok, and they read the
+//	                                                      server logs); or refuse: busy,
+//	                                                      they are coordinating
 //	    ... fuzzy per-lock sweep, concurrent with commits ...
 //	    ... quiesce: remainder sweep, dirty resweep, marker; release ...
-//	Sync{epoch}       coordinator -> peers   a node that reads the server logs
-//	SyncAck{epoch}    peer -> coordinator    drains them; every node acks
-//	Checkpoint{epoch, lsn}  coordinator -> peers   trim to recorded cut
-//	CheckpointAck{epoch}    peer -> coordinator
+//	Checkpoint{Sync, epoch}       coordinator -> readers  readers drain the server logs
+//	Reply{Sync, ok, epoch}        reader -> coordinator
+//	Checkpoint{Trim, epoch}       coordinator -> peers    trim to the recorded cut
+//	Reply{Trim, ok, epoch}        peer -> coordinator
 //
 // The sync round exists because head trims move byte offsets under
-// every lazy reader and delete records a lagging node may not have
-// pulled yet: no log head moves until every node has drained all
-// server-side logs past the cuts. A node that cannot drain withholds
-// its ack, the round times out, and nothing is trimmed.
+// every reader of the server-side logs and delete records a lagging
+// node may not have pulled yet: no log head moves until every node that
+// reads those logs has drained them past the cuts. Who reads is learned
+// from the Begin replies, not from the coordinator's own configuration
+// (nodes of one cluster may be configured differently): the coordinator
+// drains its own reads, sends Sync only to the peers that replied
+// reads, and skips the round when there are none. A reader that cannot
+// drain withholds its reply, the round times out, and nothing is
+// trimmed.
 
 // Message codes (continuing the 0x20-0x2F coherency block; 0x26/0x27
 // belong to token reclaim).
 const (
-	MsgCheckpoint         uint8 = 0x23 // coordinator -> peers: {epoch u64, lsn u64}
-	MsgCheckpointAck      uint8 = 0x24 // peer -> coordinator: {epoch u64}
-	MsgCheckpointBegin    uint8 = 0x28 // coordinator -> peers: {epoch u64}
-	MsgCheckpointBeginAck uint8 = 0x29 // peer -> coordinator: {epoch u64}
-	MsgCheckpointSync     uint8 = 0x2A // coordinator -> peers: {epoch u64}
-	MsgCheckpointSyncAck  uint8 = 0x2B // peer -> coordinator: {epoch u64}
-	MsgCheckpointBusy     uint8 = 0x2E // peer -> coordinator: {epoch u64}, Begin refused
+	MsgCheckpoint      uint8 = 0x23 // coordinator -> peer: {phase u8, epoch u64}
+	MsgCheckpointReply uint8 = 0x24 // peer -> coordinator: {phase u8, status u8, epoch u64}
+)
+
+// Checkpoint phases, the first byte of both frames.
+const (
+	ckptBegin uint8 = iota + 1 // peers record their cut
+	ckptSync                   // readers of the server-side logs drain them
+	ckptTrim                   // peers trim to their cut
+)
+
+// Reply statuses. Busy and reads answer only a Begin.
+const (
+	ckptOK    uint8 = iota
+	ckptBusy        // refused: the peer is coordinating a checkpoint
+	ckptReads       // ok, and the peer reads the server-side logs
 )
 
 // ErrCheckpointBusy reports that a checkpoint was not started because
@@ -101,34 +118,47 @@ type cutKey struct {
 	epoch uint64
 }
 
-// ckptState tracks in-flight coordinated checkpoints: ack waiters on
+// roundKey names one round a coordinator waits on. The phase is part of
+// the key so a late reply from an earlier round never counts in a later
+// one.
+type roundKey struct {
+	phase uint8
+	epoch uint64
+}
+
+// ckptReply is one peer's reply to a round.
+type ckptReply struct {
+	from   netproto.NodeID
+	status uint8
+}
+
+// ckptState tracks in-flight coordinated checkpoints: reply waiters on
 // the coordinator side, recorded log cuts on the peer side.
 type ckptState struct {
 	mu           sync.Mutex
 	epoch        uint64
-	coordinating bool                            // this node has a checkpoint in progress
-	refused      map[uint64]chan netproto.NodeID // begin-phase refusals
-	waiters      map[uint64]chan netproto.NodeID // done-phase acks
-	beginWaiters map[uint64]chan netproto.NodeID // begin-phase acks
-	syncWaiters  map[uint64]chan netproto.NodeID // sync-phase acks
-	cuts         map[cutKey]int64                // peer: logical log cut at Begin
+	coordinating bool                        // this node has a checkpoint in progress
+	waiters      map[roundKey]chan ckptReply // coordinator: rounds in flight
+	cuts         map[cutKey]int64            // peer: logical log cut at Begin
 }
 
 func (n *Node) initCheckpoint() {
 	n.ckpt = &ckptState{
-		refused:      map[uint64]chan netproto.NodeID{},
-		waiters:      map[uint64]chan netproto.NodeID{},
-		beginWaiters: map[uint64]chan netproto.NodeID{},
-		syncWaiters:  map[uint64]chan netproto.NodeID{},
-		cuts:         map[cutKey]int64{},
+		waiters: map[roundKey]chan ckptReply{},
+		cuts:    map[cutKey]int64{},
 	}
 	n.tr.Handle(MsgCheckpoint, n.onCheckpoint)
-	n.tr.Handle(MsgCheckpointAck, n.onCheckpointAck)
-	n.tr.Handle(MsgCheckpointBegin, n.onCheckpointBegin)
-	n.tr.Handle(MsgCheckpointBeginAck, n.onCheckpointBeginAck)
-	n.tr.Handle(MsgCheckpointSync, n.onCheckpointSync)
-	n.tr.Handle(MsgCheckpointSyncAck, n.onCheckpointSyncAck)
-	n.tr.Handle(MsgCheckpointBusy, n.onCheckpointBusy)
+	n.tr.Handle(MsgCheckpointReply, n.onCheckpointReply)
+}
+
+// ckptRequest encodes a MsgCheckpoint payload.
+func ckptRequest(phase uint8, epoch uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{phase}, epoch)
+}
+
+// ckptReplyFrame encodes a MsgCheckpointReply payload.
+func ckptReplyFrame(phase, status uint8, epoch uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte{phase, status}, epoch)
 }
 
 // sweepRange is one byte range the quiesced remainder sweep must copy.
@@ -173,12 +203,9 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	// trims the peer's log before our Checkpoint message arrives.
 	traced := n.trace.Enabled()
 	endBegin := n.ckptSpan(traced, epoch, obs.SpanCkptBegin)
-	var beginMsg [8]byte
-	binary.LittleEndian.PutUint64(beginMsg[:], epoch)
-	if len(peers) > 0 {
-		if err := n.ckptRound(peers, MsgCheckpointBegin, beginMsg[:], n.ckpt.beginWaiters, epoch, deadline); err != nil {
-			return fmt.Errorf("coherency: checkpoint begin: %w", err)
-		}
+	readers, err := n.ckptRound(peers, ckptBegin, epoch, deadline)
+	if err != nil {
+		return fmt.Errorf("coherency: checkpoint begin: %w", err)
 	}
 	endBegin(0, int64(len(peers)))
 
@@ -259,7 +286,7 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	// Force the images, append + sync the durable marker. If we crash
 	// after this point recovery starts at the marker, before it at the
 	// previous start point — either way the images and log agree.
-	lsn, cut, err := ckpt.FinishQuiesced()
+	_, cut, err := ckpt.FinishQuiesced()
 	if err != nil {
 		return fmt.Errorf("coherency: checkpoint finish: %w", err)
 	}
@@ -276,25 +303,29 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 		n.emitCkptSpan(obs.SpanCkptQuiesce, epoch, 0, quiesceStart, int64(len(sorted)))
 	}
 
-	// Phase 4: drain lazy consumers. Head trims move byte offsets under
-	// every reader of these logs and delete records a lagging node may
-	// not have pulled yet, so each node that reads them — this one
-	// included — drains every server-side log before any head moves. A
-	// node that cannot drain withholds its ack and the checkpoint aborts
-	// without trimming anything; a later attempt retries. A node that
-	// never reads the server-side logs (eager propagation without the
-	// pull backstop) has nothing to drain and acks immediately: the
-	// Begin-cut interlock argument already covers its applied state.
+	// Phase 4: drain the readers of the server-side logs. Head trims move
+	// byte offsets under every reader of these logs and delete records a
+	// lagging node may not have pulled yet, so each node that reads them
+	// — this one, and every peer whose Begin reply said so — drains
+	// every server-side log before any head moves. A reader that cannot
+	// drain withholds its reply and the checkpoint aborts without
+	// trimming anything; a later attempt retries. A node that never reads
+	// those logs (eager propagation without the pull backstop) has
+	// nothing to drain and is not asked: the Begin-cut interlock argument
+	// already covers its applied state. With no reader the round sends
+	// nothing.
 	endSync := n.ckptSpan(traced, epoch, obs.SpanCkptSync)
+	drained := int64(len(readers))
+	if n.readsPeerLogs() {
+		drained++
+	}
 	if err := n.drainPeerLogs(); err != nil {
 		return fmt.Errorf("coherency: checkpoint drain: %w", err)
 	}
-	if len(peers) > 0 {
-		if err := n.ckptRound(peers, MsgCheckpointSync, beginMsg[:], n.ckpt.syncWaiters, epoch, deadline); err != nil {
-			return fmt.Errorf("coherency: checkpoint sync: %w", err)
-		}
+	if _, err := n.ckptRound(readers, ckptSync, epoch, deadline); err != nil {
+		return fmt.Errorf("coherency: checkpoint sync: %w", err)
 	}
-	endSync(0, int64(len(peers)))
+	endSync(0, drained)
 
 	// Trim our own log head past the marker: every record below it is in
 	// the permanent images, and every lazy reader is past it after the
@@ -307,13 +338,8 @@ func (n *Node) CoordinatedCheckpoint(lockIDs []uint32, timeout time.Duration) er
 	}
 
 	// Phase 5: peers trim to their recorded cuts.
-	if len(peers) > 0 {
-		var doneMsg [16]byte
-		binary.LittleEndian.PutUint64(doneMsg[:8], epoch)
-		binary.LittleEndian.PutUint64(doneMsg[8:], uint64(lsn))
-		if err := n.ckptRound(peers, MsgCheckpoint, doneMsg[:], n.ckpt.waiters, epoch, deadline); err != nil {
-			return fmt.Errorf("coherency: checkpoint commit: %w", err)
-		}
+	if _, err := n.ckptRound(peers, ckptTrim, epoch, deadline); err != nil {
+		return fmt.Errorf("coherency: checkpoint commit: %w", err)
 	}
 	endTrim(0, cut)
 	return nil
@@ -343,48 +369,52 @@ func (n *Node) emitCkptSpan(name string, epoch uint64, lock uint32, start time.T
 	})
 }
 
-// ckptRound broadcasts one checkpoint protocol message and waits for
-// every peer's ack, registered in the given waiter map under epoch. A
-// peer's Busy reply (only Begin is ever refused) ends the round at once
-// with ErrCheckpointBusy.
-func (n *Node) ckptRound(peers []netproto.NodeID, typ uint8, payload []byte,
-	waiters map[uint64]chan netproto.NodeID, epoch uint64, deadline time.Time) error {
-	acks := make(chan netproto.NodeID, len(peers))
-	refused := make(chan netproto.NodeID, len(peers))
+// ckptRound sends one checkpoint request to peers and waits for every
+// one's reply, registered under (phase, epoch). It returns the peers
+// that replied reads. A busy reply (only Begin is ever refused) ends the
+// round at once with ErrCheckpointBusy. With no peers it sends nothing.
+func (n *Node) ckptRound(peers []netproto.NodeID, phase uint8, epoch uint64, deadline time.Time) ([]netproto.NodeID, error) {
+	key := roundKey{phase: phase, epoch: epoch}
+	replies := make(chan ckptReply, len(peers))
 	n.ckpt.mu.Lock()
-	waiters[epoch] = acks
-	n.ckpt.refused[epoch] = refused
+	n.ckpt.waiters[key] = replies
 	n.ckpt.mu.Unlock()
 	defer func() {
 		n.ckpt.mu.Lock()
-		delete(waiters, epoch)
-		delete(n.ckpt.refused, epoch)
+		delete(n.ckpt.waiters, key)
 		n.ckpt.mu.Unlock()
 	}()
+	req := ckptRequest(phase, epoch)
+	need := make(map[netproto.NodeID]bool, len(peers))
 	for _, p := range peers {
-		if err := n.tr.Send(p, typ, payload); err != nil {
-			return fmt.Errorf("notify %d: %w", p, err)
+		if err := n.tr.Send(p, MsgCheckpoint, req); err != nil {
+			return nil, fmt.Errorf("notify %d: %w", p, err)
 		}
-	}
-	need := map[netproto.NodeID]bool{}
-	for _, p := range peers {
 		need[p] = true
 	}
+	var readers []netproto.NodeID
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	for len(need) > 0 {
 		select {
-		case from := <-acks:
-			delete(need, from)
-		case from := <-refused:
-			return fmt.Errorf("node %d: %w", from, ErrCheckpointBusy)
+		case r := <-replies:
+			if !need[r.from] {
+				continue
+			}
+			switch r.status {
+			case ckptBusy:
+				return nil, fmt.Errorf("node %d: %w", r.from, ErrCheckpointBusy)
+			case ckptReads:
+				readers = append(readers, r.from)
+			}
+			delete(need, r.from)
 		case <-timer.C:
-			return fmt.Errorf("epoch %d: %d peers did not ack", epoch, len(need))
+			return nil, fmt.Errorf("epoch %d: %d peers did not ack", epoch, len(need))
 		case <-n.done:
-			return errors.New("node closed during checkpoint")
+			return nil, errors.New("node closed during checkpoint")
 		}
 	}
-	return nil
+	return readers, nil
 }
 
 // uncoveredRanges returns, per mapped region, the byte ranges not
@@ -435,128 +465,111 @@ func (n *Node) uncoveredRanges(lockIDs []uint32) []sweepRange {
 	return out
 }
 
-// onCheckpointBegin runs at a peer: record the current logical log end
-// as the cut this checkpoint will trim to. Records below it committed
-// before the coordinator's sweep started, so the sweep observes them;
-// records appended later may have raced the sweep and must survive in
-// the log. The cut is logical (rvm.LogCut), so any trim of our log
-// between now and the Checkpoint message cannot shift it onto — and
-// silently delete — those later records. A node that is coordinating a
-// checkpoint of its own refuses instead (see the protocol notes at the top of this file).
-func (n *Node) onCheckpointBegin(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
-		return
-	}
-	n.ckpt.mu.Lock()
-	busy := n.ckpt.coordinating
-	n.ckpt.mu.Unlock()
-	if busy {
-		// Our own sweep's writer may still hold copies: a second
-		// coordinator sealing and trimming now could have them land over
-		// its sealed pages. Refuse; nothing is recorded.
-		_ = n.tr.Send(from, MsgCheckpointBusy, payload)
-		return
-	}
-	epoch := binary.LittleEndian.Uint64(payload)
-	cut, err := n.rvm.LogCut()
-	if err != nil {
-		// Unknown size: record a zero cut, i.e. trim nothing. The
-		// checkpoint still completes; this peer just keeps its log.
-		n.stats.Add(metrics.CtrCkptErrors, 1)
-		cut = 0
-	}
-	n.ckpt.mu.Lock()
-	for k := range n.ckpt.cuts {
-		if k.from == from {
-			delete(n.ckpt.cuts, k) // only the newest epoch per coordinator matters
-		}
-	}
-	n.ckpt.cuts[cutKey{from: from, epoch: epoch}] = cut
-	n.ckpt.mu.Unlock()
-	_ = n.tr.Send(from, MsgCheckpointBeginAck, payload)
-}
-
-// onCheckpointBeginAck runs at the coordinator.
-func (n *Node) onCheckpointBeginAck(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
-		return
-	}
-	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.beginWaiters)
-}
-
-// onCheckpointBusy runs at the coordinator: a peer refused the Begin.
-func (n *Node) onCheckpointBusy(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
-		return
-	}
-	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.refused)
-}
-
-// onCheckpoint runs at a peer: the coordinator's images now reflect
-// every record below the cut recorded at Begin, so trim the local log
-// head to that cut. Commits that raced the sweep sit above the cut and
-// survive in the tail; the logical trim rebases the cut against any
-// trim applied since Begin.
+// onCheckpoint runs at a peer and answers one request with one reply,
+// or with none when the request fails.
+//
+// Begin: record the current logical log end as the cut this checkpoint
+// will trim to. Records below it committed before the coordinator's
+// sweep started, so the sweep observes them; records appended later may
+// have raced the sweep and must survive in the log. The cut is logical
+// (rvm.LogCut), so any trim of our log between now and the Trim request
+// cannot shift it onto — and silently delete — those later records. A
+// node that is coordinating a checkpoint of its own refuses instead (see
+// the protocol notes at the top of this file).
+//
+// Sync: the coordinator's marker is durable and no log head has moved
+// yet: drain every server-side log this node reads, so its saved read
+// positions — and its pending-record backlog — are past any cut about
+// to be trimmed.
+//
+// Trim: the coordinator's images now reflect every record below the cut
+// recorded at Begin, so trim the local log head to that cut. Commits
+// that raced the sweep sit above the cut and survive in the tail; the
+// logical trim rebases the cut against any trim applied since Begin.
+//
+// A failed drain or trim withholds the reply: the coordinator times out
+// and reports, and no log head moves (Sync) or the next checkpoint
+// retries (Trim).
 func (n *Node) onCheckpoint(from netproto.NodeID, payload []byte) {
-	if len(payload) != 16 {
+	if len(payload) != 9 {
+		n.decodeError(from)
 		return
 	}
-	epoch := binary.LittleEndian.Uint64(payload[:8])
-	n.ckpt.mu.Lock()
-	cut, ok := n.ckpt.cuts[cutKey{from: from, epoch: epoch}]
-	delete(n.ckpt.cuts, cutKey{from: from, epoch: epoch})
-	n.ckpt.mu.Unlock()
-	if ok && cut > 0 {
-		if err := n.rvm.TrimLogHeadLogical(cut); err != nil {
-			n.stats.Add(metrics.CtrCkptErrors, 1)
-			return // no ack: the coordinator times out and reports
+	phase, epoch := payload[0], binary.LittleEndian.Uint64(payload[1:])
+	status := ckptOK
+	switch phase {
+	case ckptBegin:
+		n.ckpt.mu.Lock()
+		busy := n.ckpt.coordinating
+		n.ckpt.mu.Unlock()
+		if busy {
+			// Our own sweep's writer may still hold copies: a second
+			// coordinator sealing and trimming now could have them land
+			// over its sealed pages. Refuse; nothing is recorded.
+			status = ckptBusy
+			break
 		}
-	}
-	var ack [8]byte
-	binary.LittleEndian.PutUint64(ack[:], epoch)
-	_ = n.tr.Send(from, MsgCheckpointAck, ack[:])
-}
-
-// onCheckpointSync runs at a peer after the coordinator's marker is
-// durable and before any log head moves: drain every server-side log
-// this node reads lazily, so its saved read positions — and its
-// pending-record backlog — are past any cut about to be trimmed. The
-// ack is withheld on a failed drain; the coordinator then times out
-// and no log is trimmed, leaving a later checkpoint free to retry.
-func (n *Node) onCheckpointSync(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
+		cut, err := n.rvm.LogCut()
+		if err != nil {
+			// Unknown size: record a zero cut, i.e. trim nothing. The
+			// checkpoint still completes; this peer just keeps its log.
+			n.stats.Add(metrics.CtrCkptErrors, 1)
+			cut = 0
+		}
+		n.ckpt.mu.Lock()
+		for k := range n.ckpt.cuts {
+			if k.from == from {
+				delete(n.ckpt.cuts, k) // only the newest epoch per coordinator matters
+			}
+		}
+		n.ckpt.cuts[cutKey{from: from, epoch: epoch}] = cut
+		n.ckpt.mu.Unlock()
+		if n.readsPeerLogs() {
+			status = ckptReads
+		}
+	case ckptSync:
+		if err := n.drainPeerLogs(); err != nil {
+			n.stats.Add(metrics.CtrCkptErrors, 1)
+			return
+		}
+	case ckptTrim:
+		n.ckpt.mu.Lock()
+		cut, ok := n.ckpt.cuts[cutKey{from: from, epoch: epoch}]
+		delete(n.ckpt.cuts, cutKey{from: from, epoch: epoch})
+		n.ckpt.mu.Unlock()
+		if ok && cut > 0 {
+			if err := n.rvm.TrimLogHeadLogical(cut); err != nil {
+				n.stats.Add(metrics.CtrCkptErrors, 1)
+				return
+			}
+		}
+	default:
+		n.decodeError(from)
 		return
 	}
-	if err := n.drainPeerLogs(); err != nil {
-		n.stats.Add(metrics.CtrCkptErrors, 1)
-		return // no ack: the coordinator times out and reports
-	}
-	_ = n.tr.Send(from, MsgCheckpointSyncAck, payload)
+	_ = n.tr.Send(from, MsgCheckpointReply, ckptReplyFrame(phase, status, epoch))
 }
 
-// onCheckpointSyncAck runs at the coordinator.
-func (n *Node) onCheckpointSyncAck(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
+// onCheckpointReply runs at the coordinator: hand the reply to the
+// round waiting on its (phase, epoch), if any.
+func (n *Node) onCheckpointReply(from netproto.NodeID, payload []byte) {
+	if len(payload) != 10 {
+		n.decodeError(from)
 		return
 	}
-	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.syncWaiters)
-}
-
-// onCheckpointAck runs at the coordinator.
-func (n *Node) onCheckpointAck(from netproto.NodeID, payload []byte) {
-	if len(payload) != 8 {
+	phase, status := payload[0], payload[1]
+	if phase < ckptBegin || phase > ckptTrim || status > ckptReads ||
+		(status != ckptOK && phase != ckptBegin) {
+		n.decodeError(from)
 		return
 	}
-	n.ckptAck(from, binary.LittleEndian.Uint64(payload), n.ckpt.waiters)
-}
-
-func (n *Node) ckptAck(from netproto.NodeID, epoch uint64, waiters map[uint64]chan netproto.NodeID) {
+	key := roundKey{phase: phase, epoch: binary.LittleEndian.Uint64(payload[2:])}
 	n.ckpt.mu.Lock()
-	ch := waiters[epoch]
+	ch := n.ckpt.waiters[key]
 	n.ckpt.mu.Unlock()
 	if ch != nil {
 		select {
-		case ch <- from:
+		case ch <- ckptReply{from: from, status: status}:
 		default:
 		}
 	}

@@ -17,7 +17,7 @@ import (
 
 // testCluster spins up k coherency nodes over an in-process hub, each
 // with its own RVM instance, all mapping region 1 of the given size.
-func testCluster(t *testing.T, k int, size int, opt func(i int, o *Options)) []*Node {
+func testCluster(t testing.TB, k int, size int, opt func(i int, o *Options)) []*Node {
 	t.Helper()
 	hub := netproto.NewHub()
 	ids := make([]netproto.NodeID, k)

@@ -2,7 +2,6 @@ package coherency
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -200,7 +199,7 @@ func TestCheckpointAllowsConcurrentCommits(t *testing.T) {
 
 // TestCheckpointCutSurvivesConcurrentTrim: a peer's recorded cut must
 // stay correct when something else trims the peer's log between the
-// coordinator's Begin and Checkpoint messages. Coordinators are
+// coordinator's Begin and Trim requests. Coordinators are
 // serialized (TestCheckpointRefusesSecondCoordinator), so the other trim
 // can only be a local one (the node's own rvm checkpoint); the handlers
 // are driven directly to put it inside the window.
@@ -211,9 +210,7 @@ func TestCheckpointCutSurvivesConcurrentTrim(t *testing.T) {
 	commitWrite(t, peer, 2, 512, []byte("below-the-cut"))
 
 	// Coordinator A's Begin arrives: the peer records its cut.
-	var epochMsg [8]byte
-	binary.LittleEndian.PutUint64(epochMsg[:], 7)
-	peer.onCheckpointBegin(1, epochMsg[:])
+	peer.onCheckpoint(1, ckptRequest(ckptBegin, 7))
 
 	// Everything recorded so far is trimmed inside A's window; then a
 	// commit races A's sweep.
@@ -226,12 +223,10 @@ func TestCheckpointCutSurvivesConcurrentTrim(t *testing.T) {
 	}
 	commitWrite(t, peer, 2, 512, []byte("raced-the-ckpt"))
 
-	// A's Checkpoint arrives. Interpreted as a raw post-trim offset, A's
+	// A's Trim arrives. Interpreted as a raw post-trim offset, A's
 	// stale cut would delete the raced commit's record (or fall beyond
 	// the log end); the logical cut rebases against the trim to a no-op.
-	var doneMsg [16]byte
-	binary.LittleEndian.PutUint64(doneMsg[:8], 7)
-	peer.onCheckpoint(1, doneMsg[:])
+	peer.onCheckpoint(1, ckptRequest(ckptTrim, 7))
 
 	txs, err := wal.ReadDevice(logs[1])
 	if err != nil {

@@ -19,13 +19,15 @@ import (
 	"lbc/internal/wal"
 )
 
-// storeClusterOpts varies storeCluster: the propagation policy, and
+// storeClusterOpts varies storeCluster: the propagation policy,
 // optional wrappers around a node's image store and around the peer-log
-// devices it reads (fault injection; node is the log's owner).
+// devices it reads (fault injection; node is the log's owner), and an
+// optional last word on each node's Options.
 type storeClusterOpts struct {
 	prop    Propagation
 	data    func(i int, cli *store.Client) rvm.DataStore
 	peerLog func(i int, node uint32, dev wal.Device) wal.Device
+	opt     func(i int, o *Options)
 }
 
 // storeCluster builds k nodes whose logs and database live on a shared
@@ -62,7 +64,7 @@ func storeCluster(t *testing.T, k int, size int, o storeClusterOpts) ([]*Node, *
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := New(Options{
+		opts := Options{
 			RVM:         r,
 			Transport:   hub.Endpoint(ids[i]),
 			Nodes:       ids,
@@ -74,7 +76,11 @@ func storeCluster(t *testing.T, k int, size int, o storeClusterOpts) ([]*Node, *
 				}
 				return dev
 			},
-		})
+		}
+		if o.opt != nil {
+			o.opt(i, &opts)
+		}
+		n, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,22 +303,78 @@ func TestLazyPullSurvivesHeadTrim(t *testing.T) {
 }
 
 // TestCheckpointDrainsLazyReaders: the checkpoint sync round. Node 2
-// has never acquired the lock, so its read position is at the very
-// start of node 1's log — everything the checkpoint wants to trim is
-// still unpulled. The coordinator must drain the laggard before any
-// log head moves; without the sync round the records are deleted
-// unread and the laggard's later acquire wedges until timeout.
+// has never pulled node 1's log, so its read position is at the very
+// start of it — everything the checkpoint wants to trim is still
+// unpulled. The coordinator must have node 2 drain before any log head
+// moves; without the sync round a lazy laggard's records are deleted
+// unread and its later acquire wedges until timeout. Who reads the
+// server logs is each node's own configuration, so the round must reach
+// a reading peer even when the coordinator itself reads nothing.
 func TestCheckpointDrainsLazyReaders(t *testing.T) {
-	nodes, _ := lazyCluster(t, 2, 1024)
-	commitWrite(t, nodes[0], 1, 0, []byte("gen-one"))
-	commitWrite(t, nodes[0], 1, 0, []byte("gen-two"))
+	for _, tc := range []struct {
+		name string
+		opt  func(i int, o *Options)
+	}{
+		{"lazy", func(i int, o *Options) { o.Propagation = Lazy }},
+		{"eager coordinator, pull-on-stall peer", func(i int, o *Options) { o.PullOnStall = i == 1 }},
+		{"eager coordinator, interest-routed peer", func(i int, o *Options) { o.InterestRouting = i == 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Node 2's reads of node 1's log while the checkpoint runs,
+			// split by whether node 1's head had moved yet.
+			var coord atomic.Pointer[Node]
+			var armed atomic.Bool
+			var drained, late atomic.Int32
+			nodes, _ := storeCluster(t, 2, 1024, storeClusterOpts{
+				opt: tc.opt,
+				peerLog: func(i int, node uint32, dev wal.Device) wal.Device {
+					if i != 1 || node != 1 {
+						return dev
+					}
+					return openHook{Device: dev, open: func() {
+						if !armed.Load() {
+							return
+						}
+						if coord.Load().Stats().Counter(metrics.CtrLogTrims) == 0 {
+							drained.Add(1)
+						} else {
+							late.Add(1)
+						}
+					}}
+				},
+			})
+			coord.Store(nodes[0])
+			commitWrite(t, nodes[0], 1, 0, []byte("gen-one"))
+			commitWrite(t, nodes[0], 1, 0, []byte("gen-two"))
 
-	if err := nodes[0].CoordinatedCheckpoint([]uint32{1}, 10*time.Second); err != nil {
-		t.Fatal(err)
+			armed.Store(true)
+			if err := nodes[0].CoordinatedCheckpoint([]uint32{1}, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			armed.Store(false)
+			if drained.Load() == 0 || late.Load() != 0 {
+				t.Fatalf("node 2 read node 1's log %d times before the trim and %d after; want a drain before it only",
+					drained.Load(), late.Load())
+			}
+			if got := nodes[0].Stats().Counter(metrics.CtrLogTrims); got == 0 {
+				t.Fatal("the checkpoint trimmed no log")
+			}
+			if got := readUnder(t, nodes[1], 1, 0, 7); string(got) != "gen-two" {
+				t.Fatalf("laggard after checkpoint: %q", got)
+			}
+		})
 	}
-	if got := readUnder(t, nodes[1], 1, 0, 7); string(got) != "gen-two" {
-		t.Fatalf("laggard after checkpoint: %q", got)
-	}
+}
+
+// openHook is a peer-log device that calls open before every read.
+type openHook struct {
+	wal.Device
+	open func()
+}
+
+func (h openHook) Open(from int64) (io.ReadCloser, error) {
+	h.open()
+	return h.Device.Open(from)
 }
 
 // failingLog is a peer-log device whose reads fail while broken is set.

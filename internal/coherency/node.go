@@ -160,24 +160,6 @@ type Options struct {
 	// otherwise hide. Compression is on by default; small or
 	// incompressible batches fall back to the plain frame automatically.
 	NoCompress bool
-	// SendWindow bounds, per peer, the bytes queued plus in flight in
-	// the batch sender (default 1 MiB). A full window blocks the
-	// committing transaction's enqueue — backpressure mirroring
-	// wal.GroupWriter's bounded queue — instead of buffering without
-	// bound toward a slow peer.
-	SendWindow int
-	// SendStallTimeout is how long an enqueue blocks on one peer's full
-	// window before the slow-peer policy downgrades that peer: its
-	// queued backlog is dropped and it recovers the records through the
-	// pull backstop (default 500ms). Only effective when the pull path
-	// is configured (PullOnStall/InterestRouting with PeerLogs);
-	// without it the enqueue keeps blocking, since a drop would lose
-	// the records for good.
-	SendStallTimeout time.Duration
-	// ApplyWorkers sets the size of the parallel apply worker pool
-	// (default min(GOMAXPROCS, 8)). Records on disjoint per-lock chains
-	// install concurrently; each chain keeps its §3.4 order.
-	ApplyWorkers int
 	// Membership, when set, wires live failure handling into the node:
 	// the lock manager routes around evicted peers, eviction triggers
 	// token reclaim (see membership.go), and rejoin announcements
@@ -186,6 +168,28 @@ type Options struct {
 	// membership.Fence over the same monitor so update frames are
 	// epoch-tagged.
 	Membership *membership.Monitor
+
+	// Unexported tuning: every caller outside this package runs the
+	// defaults; the package tests narrow them.
+
+	// sendWindow bounds, per peer, the bytes queued plus in flight in
+	// the batch sender (default 1 MiB). A full window blocks the
+	// committing transaction's enqueue — backpressure mirroring
+	// wal.GroupWriter's bounded queue — instead of buffering without
+	// bound toward a slow peer.
+	sendWindow int
+	// sendStallTimeout is how long an enqueue blocks on one peer's full
+	// window before the slow-peer policy downgrades that peer: its
+	// queued backlog is dropped and it recovers the records through the
+	// pull backstop (default 500ms). Only effective when the pull path
+	// is configured (PullOnStall/InterestRouting with PeerLogs);
+	// without it the enqueue keeps blocking, since a drop would lose
+	// the records for good.
+	sendStallTimeout time.Duration
+	// applyWorkers sets the size of the parallel apply worker pool
+	// (default min(GOMAXPROCS, 8)). Records on disjoint per-lock chains
+	// install concurrently; each chain keeps its §3.4 order.
+	applyWorkers int
 }
 
 // Node is one participant in the coherent distributed store.
@@ -291,11 +295,11 @@ func New(opts Options) (*Node, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = 8192
 	}
-	if opts.SendWindow <= 0 {
-		opts.SendWindow = 1 << 20
+	if opts.sendWindow <= 0 {
+		opts.sendWindow = 1 << 20
 	}
-	if opts.SendStallTimeout <= 0 {
-		opts.SendStallTimeout = 500 * time.Millisecond
+	if opts.sendStallTimeout <= 0 {
+		opts.sendStallTimeout = 500 * time.Millisecond
 	}
 	n := &Node{
 		rvm:          opts.RVM,
@@ -311,8 +315,8 @@ func New(opts Options) (*Node, error) {
 		pullStall:    opts.PullOnStall,
 		acqTimeout:   opts.AcquireTimeout,
 		noCompress:   opts.NoCompress,
-		sendWindow:   opts.SendWindow,
-		stallTmo:     opts.SendStallTimeout,
+		sendWindow:   opts.sendWindow,
+		stallTmo:     opts.sendStallTimeout,
 		interestOn:   opts.InterestRouting,
 		member:       opts.Membership,
 		tokInfo:      map[uint32]map[netproto.NodeID]tokenInfo{},
@@ -335,7 +339,7 @@ func New(opts Options) (*Node, error) {
 	// queued for a restarting node is dispatched as soon as its handler
 	// is, and the handler submits to the engine.
 	n.eng = parapply.New(parapply.Config{
-		Workers: opts.ApplyWorkers,
+		Workers: opts.applyWorkers,
 		Applied: n.locks.Applied,
 		Install: n.installRecord,
 		Done:    func(rec *wal.TxRecord, err error) { n.recordDone(rec) },

@@ -132,7 +132,7 @@ func playStream(t *testing.T, sched []eqFrame, workers int) []byte {
 	n, err := New(Options{
 		RVM: r, Transport: hub.Endpoint(1),
 		Nodes:        []netproto.NodeID{1, 2, 3},
-		ApplyWorkers: workers,
+		applyWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func newPoolReceiver(t *testing.T) (*Node, *rvm.Region) {
 	n, err := New(Options{
 		RVM: r, Transport: hub.Endpoint(1),
 		Nodes:        []netproto.NodeID{1, 2, 3},
-		ApplyWorkers: 2,
+		applyWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestNodeCloseStopsGoroutines(t *testing.T) {
 	tr := netproto.NewHub().Endpoint(1)
 	base := runtime.NumGoroutine()
 
-	n, err := New(Options{RVM: r, Transport: tr, Nodes: []netproto.NodeID{1, 2}, ApplyWorkers: 4})
+	n, err := New(Options{RVM: r, Transport: tr, Nodes: []netproto.NodeID{1, 2}, applyWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

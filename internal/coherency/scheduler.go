@@ -12,7 +12,8 @@ import (
 	"lbc/internal/wal"
 )
 
-// decodeError counts a malformed update frame, both in aggregate and
+// decodeError counts a malformed frame (update batch, token record
+// blob, checkpoint request or reply), both in aggregate and
 // attributed to the sending node (a persistently garbling peer shows up
 // by name in /debug/lbc instead of as an anonymous total).
 func (n *Node) decodeError(from netproto.NodeID) {

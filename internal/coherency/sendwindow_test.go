@@ -48,7 +48,7 @@ func TestSendWindowStallBackpressure(t *testing.T) {
 		}
 		n, err := New(Options{
 			RVM: r, Transport: tr, Nodes: ids,
-			SendWindow: 1, // any payload beyond an in-flight one stalls
+			sendWindow: 1, // any payload beyond an in-flight one stalls
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -493,12 +493,13 @@ func (n *Node) readsPeerLogs() bool {
 }
 
 // drainPeerLogs pulls every cluster member's server-side log to its
-// current end. The coordinated checkpoint runs it on every node before
-// any log head is trimmed, so no lazy consumer is left holding a read
-// position — or missing records — below a cut. A node that never reads
-// those logs has neither, so for it this is a no-op: re-reading and
-// re-decoding every peer's log only to drop each record as stale would
-// put O(log) store traffic on the connection its commits share.
+// current end. The coordinated checkpoint runs it on every node that
+// reads those logs before any log head is trimmed, so no lazy consumer
+// is left holding a read position — or missing records — below a cut.
+// A node that never reads those logs has neither, so for it this is a
+// no-op: re-reading and re-decoding every peer's log only to drop each
+// record as stale would put O(log) store traffic on the connection its
+// commits share.
 func (n *Node) drainPeerLogs() error {
 	if !n.readsPeerLogs() {
 		return nil

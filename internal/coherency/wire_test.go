@@ -231,7 +231,7 @@ func TestBackpressureBoundsWindow(t *testing.T) {
 	const window = 400
 	var st *stallTransport
 	nodes := testCluster(t, 3, 4096, func(i int, o *Options) {
-		o.SendWindow = window
+		o.sendWindow = window
 		if i == 0 {
 			st = newStallTransport(o.Transport, 3)
 			o.Transport = st
@@ -313,8 +313,8 @@ func slowPeerCluster(t *testing.T) ([]*Node, *stallTransport) {
 			RVM: r, Transport: hub.Endpoint(id), Nodes: ids,
 			PullOnStall:      true,
 			PeerLogs:         func(node uint32) wal.Device { return cli.LogDevice(node) },
-			SendWindow:       600,
-			SendStallTimeout: 30 * time.Millisecond,
+			sendWindow:       600,
+			sendStallTimeout: 30 * time.Millisecond,
 		}
 		if i == 0 {
 			st = newStallTransport(o.Transport, 3)
