@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint cover test race chaos crashpoints lbcload-smoke bench bench-commit bench-check bench-recover bench-recover-check bench-store bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
+.PHONY: all build vet lint cover test race chaos crashpoints lbcload-smoke bench bench-commit bench-check bench-recover bench-recover-check bench-scale bench-scale-check bench-wire bench-wire-check table2 table3 figures examples clean
 
 # Total coverage floor enforced by `make cover` (CI's coverage job).
 COVER_MIN ?= 70
@@ -81,10 +81,6 @@ bench-recover:
 # at 60% of the committed baseline.
 bench-recover-check:
 	$(GO) run ./cmd/recoverbench -check -baseline BENCH_recover.json
-
-# Storage write path: single server vs 3-replica majority quorum.
-bench-store:
-	$(GO) run ./cmd/storebench -o BENCH_store.json
 
 # Sharded-coherency scale sweep: 2..16-node clusters under skewed lock
 # ownership, consistent-hash homes + migration + interest routing vs

@@ -93,7 +93,7 @@ func (rep *ChaosReport) String() string {
 
 // ChaosScenarios lists the named scenarios RunChaosScenario accepts.
 func ChaosScenarios() []string {
-	return []string{"partition-heal", "crash-restart", "store-failover", "evict-rejoin", "store-quorum-failover", "migrate-evict", "drop-compressed", "corrupt-log-repair"}
+	return []string{"partition-heal", "crash-restart", "store-failover", "evict-rejoin", "migrate-evict", "drop-compressed", "corrupt-log-repair"}
 }
 
 // RunChaosScenario executes one named scenario under the given seed
@@ -111,8 +111,6 @@ func RunChaosScenario(name string, seed int64) (*ChaosReport, error) {
 		rep, err = chaosStoreFailover(seed)
 	case "evict-rejoin":
 		rep, err = chaosEvictRejoin(seed)
-	case "store-quorum-failover":
-		rep, err = chaosStoreQuorumFailover(seed)
 	case "migrate-evict":
 		rep, err = chaosMigrateEvict(seed)
 	case "drop-compressed":
@@ -624,7 +622,7 @@ func chaosEvictRejoin(seed int64) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// --- Scenario 6: lock-home migration under eviction churn ----------------
+// --- Scenario 5: lock-home migration under eviction churn ----------------
 
 // chaosMigrateEvict runs the full sharded coherency plane (lock-home
 // migration + interest-routed updates) through an eviction/rejoin
@@ -915,125 +913,7 @@ func chaosStoreFailover(seed int64) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// --- Scenario 5: quorum store replica failover ---------------------------
-
-// chaosStoreQuorumFailover is the replicated-store failover story: a
-// 3-node cluster commits through a 3-replica majority-quorum store,
-// one replica is killed mid-commit-stream and commits keep flowing
-// through the surviving majority with zero acknowledged writes lost,
-// then a fresh replacement catches up via snapshot + log-tail transfer
-// and takes the dead replica's seat in a single view change. After the
-// quorum quiesces, every replica's digest (images, versions, logs, and
-// the recovered state replayed through the parallel-apply recovery
-// path) must be identical, and the usual three invariants close out
-// the run.
-func chaosStoreQuorumFailover(seed int64) (*ChaosReport, error) {
-	rep := &ChaosReport{Scenario: "store-quorum-failover", Seed: seed}
-
-	c, err := NewLocalCluster(3, WithQuorumStore(3),
-		WithAcquireTimeout(10*time.Second), WithGroupCommit())
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if err := c.MapAll(chaosRegion, chaosLocks*chaosSegLen); err != nil {
-		return nil, err
-	}
-	for l := 0; l < chaosLocks; l++ {
-		c.AddSegmentAll(Segment{LockID: uint32(l), Region: chaosRegion,
-			Off: uint64(l) * chaosSegLen, Len: chaosSegLen})
-	}
-	if err := c.Barrier(chaosRegion); err != nil {
-		return nil, err
-	}
-
-	writeRound := func(round int) error {
-		for l := 0; l < chaosLocks; l++ {
-			w := (round + l) % c.Size()
-			if err := chaosWrite(c.Node(w), seed, round, l); err != nil {
-				return err
-			}
-			rep.Commits++
-		}
-		return nil
-	}
-
-	// Phase A: healthy 3-replica quorum.
-	round := 0
-	for ; round < 3; round++ {
-		if err := writeRound(round); err != nil {
-			return nil, err
-		}
-	}
-
-	// Kill replica 2 between rounds of the commit stream: its listener
-	// and state vanish. The next appends fan out to all three members,
-	// get two acknowledgements, and commit — nothing acknowledged so
-	// far depended on the dead replica alone (majorities intersect).
-	if err := c.KillStoreReplica(2); err != nil {
-		return nil, err
-	}
-	for ; round < 6; round++ {
-		if err := writeRound(round); err != nil {
-			return nil, fmt.Errorf("commit with dead minority: %w", err)
-		}
-	}
-
-	// A fresh, empty server takes the dead replica's seat: snapshot of
-	// every versioned region, log tails copied to the surviving
-	// maximum, then the epoch-2 view written through both the old and
-	// the new view's majorities.
-	if _, err := c.ReplaceStoreReplica(2); err != nil {
-		return nil, fmt.Errorf("replace replica: %w", err)
-	}
-
-	// Phase C: full strength again; the replacement absorbs new writes.
-	for ; round < 9; round++ {
-		if err := writeRound(round); err != nil {
-			return nil, err
-		}
-	}
-
-	// Digest equality across the replica set: after the quorum clients
-	// quiesce (straggler fan-out goroutines drained), every live
-	// replica must hold byte-identical state — including the
-	// replacement that started empty.
-	c.QuiesceQuorum()
-	digests, err := c.QuorumAdmin().VerifyReplicas()
-	if err != nil {
-		return nil, err
-	}
-	if len(digests) != 3 {
-		return nil, fmt.Errorf("expected 3 replica digests, got %d", len(digests))
-	}
-	var ref uint64
-	first := true
-	for _, d := range digests {
-		if first {
-			ref, first = d, false
-		} else if d != ref {
-			return nil, fmt.Errorf("replica digests diverge after catch-up: %v", digests)
-		}
-	}
-
-	if err := chaosCheck(c, rep); err != nil {
-		return nil, err
-	}
-	if rep.Records != rep.Commits {
-		return nil, fmt.Errorf("log holds %d distinct records, driver committed %d — acknowledged writes lost",
-			rep.Records, rep.Commits)
-	}
-	st := c.QuorumAdmin().Stats()
-	rep.Faults = map[string]int64{
-		"replica_kills":    1,
-		"view_changes":     st.Counter(metrics.CtrStoreViewChanges),
-		"catchup_bytes":    st.Counter(metrics.CtrStoreCatchupBytes),
-		"replica_replaced": 1,
-	}
-	return rep, nil
-}
-
-// --- Scenario 7: drop compressed frames ----------------------------------
+// --- Scenario 6: drop compressed frames ----------------------------------
 
 // chaosDropCompressed aims the fault injector exclusively at the
 // compressed batch frame (MsgUpdateBatchC): a quarter of them vanish
@@ -1083,7 +963,7 @@ func chaosDropCompressed(seed int64) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// --- Scenario 8: corrupt log repair --------------------------------------
+// --- Scenario 7: corrupt log repair --------------------------------------
 
 // corruptLogRun drives one crash-restart workload; with corrupt set,
 // the restarting node comes back on damaged media — a read-back bit

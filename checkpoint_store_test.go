@@ -70,7 +70,7 @@ func readSegments(t *testing.T, n *Node, locks []uint32) {
 // never read or rewrite a whole image, must ship about the region's
 // bytes once, and must do so in a few dozen vectored requests — not one
 // per page, and not a load + store of the image per page, which is what
-// it cost while store.Client was not an rvm.PageStore — and eager nodes
+// it cost before store.Client wrote pages in place — and eager nodes
 // must not re-read each other's logs in the sync round. Then a node
 // crashes and restarts from the checkpointed image plus the log tails.
 func TestCheckpointStoreTrafficIsPageGranular(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"lbc/internal/netproto"
 	"lbc/internal/obs"
 	"lbc/internal/rangetree"
-	"lbc/internal/replstore"
 	"lbc/internal/rvm"
 	"lbc/internal/store"
 	"lbc/internal/wal"
@@ -32,7 +31,6 @@ type clusterConfig struct {
 	versioned   map[int]bool
 	useStore    bool
 	replicated  bool
-	quorum      int
 	seedImages  map[RegionID][]byte
 	policy      rangetree.Policy
 	diskLogDir  string
@@ -110,19 +108,6 @@ func WithReplicatedStore() Option {
 	return func(c *clusterConfig) {
 		c.useStore = true
 		c.replicated = true
-	}
-}
-
-// WithQuorumStore is WithStore with n independent storage replicas and
-// majority-quorum replication (internal/replstore): every node talks
-// to the replica set through a quorum client, writes acknowledge only
-// after a majority persists them, and the replica set reconfigures
-// through epoch-numbered views while commits continue. n must be odd
-// to make majorities meaningful (3 is the usual choice).
-func WithQuorumStore(n int) Option {
-	return func(c *clusterConfig) {
-		c.useStore = true
-		c.quorum = n
 	}
 }
 
@@ -223,16 +208,6 @@ func WithInterestRouting() Option {
 	}
 }
 
-// storeClient is what a node needs from its storage attachment: the
-// permanent-image interface, per-node log devices, and teardown. Both
-// the plain/mirrored client (*store.Client) and the quorum client
-// (*replstore.Client) satisfy it.
-type storeClient interface {
-	rvm.DataStore
-	LogDevice(node uint32) wal.Device
-	Close() error
-}
-
 // Cluster is a set of in-process nodes for experiments, examples, and
 // tests. Production deployments wire the pieces directly (see
 // cmd/storeserver and the package example).
@@ -246,10 +221,7 @@ type Cluster struct {
 	trs     []netproto.Transport
 	srv     *store.Server
 	replica *store.ReplicaPair
-	qsrvs   []*store.Server   // quorum replicas (WithQuorumStore); nil slots are dead
-	qaddrs  []string          // quorum replica addresses, index-aligned with qsrvs
-	qadmin  *replstore.Client // admin quorum client (seeding, reconfiguration)
-	clis    []storeClient
+	clis    []*store.Client
 	logs    []wal.Device
 	datas   []rvm.DataStore       // non-store configs: per-node stores (survive Crash)
 	tracers []*obs.Tracer         // nil without WithTracing; survive Restart
@@ -286,7 +258,7 @@ func NewLocalCluster(k int, opts ...Option) (*Cluster, error) {
 		rvms:      make([]*rvm.RVM, k),
 		meshes:    make([]*netproto.TCPMesh, k),
 		trs:       make([]netproto.Transport, k),
-		clis:      make([]storeClient, k),
+		clis:      make([]*store.Client, k),
 		logs:      make([]wal.Device, k),
 		datas:     make([]rvm.DataStore, k),
 		tracers:   make([]*obs.Tracer, k),
@@ -303,36 +275,7 @@ func NewLocalCluster(k int, opts ...Option) (*Cluster, error) {
 
 	// Optional storage server.
 	if cfg.useStore {
-		if cfg.quorum > 0 {
-			if cfg.quorum < 3 {
-				return nil, fmt.Errorf("lbc: quorum store needs at least 3 replicas")
-			}
-			for r := 0; r < cfg.quorum; r++ {
-				srv, err := store.NewServer("127.0.0.1:0", store.ServerOptions{})
-				if err != nil {
-					cl.Close()
-					return nil, err
-				}
-				cl.qsrvs = append(cl.qsrvs, srv)
-				cl.qaddrs = append(cl.qaddrs, srv.Addr())
-			}
-			if err := replstore.Bootstrap(cl.qaddrs); err != nil {
-				cl.Close()
-				return nil, err
-			}
-			admin, err := replstore.DialView(cl.qaddrs, replstore.Options{})
-			if err != nil {
-				cl.Close()
-				return nil, err
-			}
-			cl.qadmin = admin
-			for id, img := range cfg.seedImages {
-				if err := admin.StoreRegion(uint32(id), img); err != nil {
-					cl.Close()
-					return nil, err
-				}
-			}
-		} else if cfg.replicated {
+		if cfg.replicated {
 			pair, err := store.NewReplicaPair("127.0.0.1:0", "127.0.0.1:0", store.ServerOptions{})
 			if err != nil {
 				return nil, err
@@ -346,9 +289,13 @@ func NewLocalCluster(k int, opts ...Option) (*Cluster, error) {
 			}
 			cl.srv = srv
 		}
-		if cl.srv != nil {
-			for id, img := range cfg.seedImages {
-				if err := cl.srv.Data().StoreRegion(uint32(id), img); err != nil {
+		seeded := []*store.Server{cl.srv}
+		if cl.replica != nil {
+			seeded = append(seeded, cl.replica.Backup) // so a failover finds the images
+		}
+		for id, img := range cfg.seedImages {
+			for _, srv := range seeded {
+				if err := srv.Data().StoreRegion(uint32(id), img); err != nil {
 					cl.Close()
 					return nil, err
 				}
@@ -400,6 +347,16 @@ func (c *Cluster) wrapTransport(tr netproto.Transport) netproto.Transport {
 	return tr
 }
 
+// dialStore connects a node to the storage server. Under
+// WithReplicatedStore the client fails over to the backup when the
+// primary dies.
+func (c *Cluster) dialStore() (*store.Client, error) {
+	if c.replica != nil {
+		return store.DialFailover(c.replica.Primary.Addr(), c.replica.Backup.Addr())
+	}
+	return store.Dial(c.srv.Addr())
+}
+
 // startNode builds node i's storage attachments, RVM instance, and
 // coherency node on top of the already-built transport c.trs[i].
 // With restart set it resumes the node's existing log (commit
@@ -413,20 +370,8 @@ func (c *Cluster) startNode(i int, restart bool) error {
 	var log wal.Device
 	var data rvm.DataStore
 	var peerLogs coherency.PeerLogReader
-	if cfg.useStore && cfg.quorum > 0 {
-		// Each node gets its own quorum client over the current view (a
-		// restarted node may come back after a reconfiguration).
-		qc, err := replstore.DialView(c.qadmin.View().Members,
-			replstore.Options{Trace: c.tracers[i]})
-		if err != nil {
-			return err
-		}
-		c.clis[i] = qc
-		log = qc.LogDevice(uint32(id))
-		data = qc
-		peerLogs = func(node uint32) wal.Device { return qc.LogDevice(node) }
-	} else if cfg.useStore {
-		cli, err := store.Dial(c.srv.Addr())
+	if cfg.useStore {
+		cli, err := c.dialStore()
 		if err != nil {
 			return err
 		}
@@ -592,99 +537,6 @@ func (c *Cluster) StoreBackup() *store.Server {
 		return nil
 	}
 	return c.replica.Backup
-}
-
-// StoreReplica returns quorum replica r's server (WithQuorumStore
-// only; nil while that replica is killed).
-func (c *Cluster) StoreReplica(r int) *store.Server {
-	if r < 0 || r >= len(c.qsrvs) {
-		return nil
-	}
-	return c.qsrvs[r]
-}
-
-// StoreReplicaAddrs returns the quorum replica addresses in slot
-// order. A killed-and-replaced slot carries the replacement's address.
-func (c *Cluster) StoreReplicaAddrs() []string {
-	return append([]string(nil), c.qaddrs...)
-}
-
-// QuorumAdmin returns the administrative quorum client (WithQuorumStore
-// only): reconfiguration, digests, and lag inspection run through it.
-func (c *Cluster) QuorumAdmin() *replstore.Client { return c.qadmin }
-
-// KillStoreReplica fails quorum replica r abruptly: its listener and
-// connections die mid-stream, its state is gone. Commits keep flowing
-// through the surviving majority.
-func (c *Cluster) KillStoreReplica(r int) error {
-	if r < 0 || r >= len(c.qsrvs) || c.qsrvs[r] == nil {
-		return fmt.Errorf("lbc: no live quorum replica %d", r)
-	}
-	err := c.qsrvs[r].Close()
-	c.qsrvs[r] = nil
-	return err
-}
-
-// ReplaceStoreReplica starts a fresh empty server in dead slot r,
-// catches it up from the surviving majority (snapshot plus log tail),
-// and installs the next view with the replacement in the dead
-// replica's seat — written through both the old and the new view's
-// majorities. Every node's quorum client adopts the new view before
-// the call returns.
-func (c *Cluster) ReplaceStoreReplica(r int) (string, error) {
-	if r < 0 || r >= len(c.qsrvs) {
-		return "", fmt.Errorf("lbc: no quorum replica slot %d", r)
-	}
-	if c.qsrvs[r] != nil {
-		return "", fmt.Errorf("lbc: quorum replica %d is still alive", r)
-	}
-	fresh, err := store.NewServer("127.0.0.1:0", store.ServerOptions{})
-	if err != nil {
-		return "", err
-	}
-	if err := c.qadmin.ReplaceReplica(c.qaddrs[r], fresh.Addr()); err != nil {
-		fresh.Close()
-		return "", err
-	}
-	c.qsrvs[r] = fresh
-	c.qaddrs[r] = fresh.Addr()
-	c.RefreshQuorumViews()
-	return fresh.Addr(), nil
-}
-
-// RefreshQuorumViews makes every live node's quorum client (and the
-// admin client) re-read the current view, dropping connections to
-// departed replicas and dialing new members.
-func (c *Cluster) RefreshQuorumViews() {
-	for i, cli := range c.clis {
-		if c.down[i] || cli == nil {
-			continue
-		}
-		if qc, ok := cli.(*replstore.Client); ok {
-			qc.RefreshView()
-		}
-	}
-	if c.qadmin != nil {
-		c.qadmin.RefreshView()
-	}
-}
-
-// QuiesceQuorum drains the straggler replication goroutines on every
-// quorum client — after it returns, every write acknowledged so far
-// has landed on every replica it will ever land on, so per-replica
-// digests are comparable.
-func (c *Cluster) QuiesceQuorum() {
-	for i, cli := range c.clis {
-		if c.down[i] || cli == nil {
-			continue
-		}
-		if qc, ok := cli.(*replstore.Client); ok {
-			qc.Quiesce()
-		}
-	}
-	if c.qadmin != nil {
-		c.qadmin.Quiesce()
-	}
 }
 
 // MapAll maps the region on every live node.
@@ -923,9 +775,24 @@ func (c *Cluster) Restart(i int) error {
 	if !c.cfg.useStore {
 		return fmt.Errorf("lbc: Restart requires a store-backed cluster")
 	}
-	id := c.ids[i]
+	if err := c.reattach(i); err != nil {
+		return err
+	}
+	if err := c.rebuildWorkingSet(i); err != nil {
+		return err
+	}
 
-	// Fresh transport endpoint.
+	// Catch up from the server's logs: recovery proper (merge order,
+	// interlock seeding) — the restarted cache converges with the
+	// cluster before running new transactions.
+	return c.nodes[i].CatchUp()
+}
+
+// reattach gives down node i a fresh transport endpoint and a node
+// that resumes its durable state (startNode with restart set), and
+// marks it up.
+func (c *Cluster) reattach(i int) error {
+	id := c.ids[i]
 	if c.cfg.tcp {
 		m, err := netproto.NewTCPMesh(id, "127.0.0.1:0", map[NodeID]string{})
 		if err != nil {
@@ -943,13 +810,18 @@ func (c *Cluster) Restart(i int) error {
 	} else {
 		c.trs[i] = c.wrapTransport(c.hub.Endpoint(id))
 	}
-
 	if err := c.startNode(i, true); err != nil {
 		return err
 	}
 	c.down[i] = false
+	return nil
+}
 
-	// Rebuild the coherency-layer working set.
+// rebuildWorkingSet restores reattached node i's coherency-layer
+// working set: registered segments, region mappings, migration
+// overrides and lock-token bookkeeping.
+func (c *Cluster) rebuildWorkingSet(i int) error {
+	id := c.ids[i]
 	for _, seg := range c.segs {
 		c.nodes[i].AddSegment(seg)
 	}
@@ -966,22 +838,25 @@ func (c *Cluster) Restart(i int) error {
 			if j == i || c.down[j] {
 				continue
 			}
-			// Seed both mapping tables directly: the rejoining node
-			// must not wait on a best-effort announcement round.
+			// Seed both mapping tables directly: the returning node must
+			// not wait on a best-effort announcement round (and while an
+			// evicted node rejoins, survivor fences drop its
+			// announcements until the ready Join).
 			c.nodes[i].NotePeerRegion(c.ids[j], rid)
 			c.nodes[j].NotePeerRegion(id, rid)
 		}
 	}
 
 	// Migration overrides are volatile routing state the fresh manager
-	// lost: reseed them from a survivor so the restarted node routes
+	// lost: reseed them from a survivor so the returning node routes
 	// to acting homes instead of reclaiming migrated roles by ring
 	// position. (Survivors agree on the override set — the handoff
 	// broadcast is epoch-fenced — so any live view suffices.)
 	c.reseedOverrides(i)
 
 	// Lock surgery: a fresh manager believes it owns the token for
-	// every lock it manages, but tokens relocated at crash time live
+	// every lock it manages, but tokens relocated at crash time (or
+	// reclaimed by the survivors while the node was evicted) live
 	// elsewhere — forfeit those and point the waiter queue at the
 	// current holder. The tail repair matters only when this node is
 	// the acting manager; for a lock whose role migrated to a live
@@ -1008,11 +883,7 @@ func (c *Cluster) Restart(i int) error {
 			}
 		}
 	}
-
-	// Catch up from the server's logs: recovery proper (merge order,
-	// interlock seeding) — the restarted cache converges with the
-	// cluster before running new transactions.
-	return c.nodes[i].CatchUp()
+	return nil
 }
 
 // reseedOverrides copies the migration overrides a live survivor
@@ -1056,28 +927,9 @@ func (c *Cluster) Rejoin(i int) error {
 		return fmt.Errorf("lbc: Rejoin requires a store-backed cluster")
 	}
 	id := c.ids[i]
-
-	if c.cfg.tcp {
-		m, err := netproto.NewTCPMesh(id, "127.0.0.1:0", map[NodeID]string{})
-		if err != nil {
-			return err
-		}
-		for j, o := range c.meshes {
-			if j == i || o == nil {
-				continue
-			}
-			o.SetPeer(id, m.Addr())
-			m.SetPeer(c.ids[j], o.Addr())
-		}
-		c.meshes[i] = m
-		c.trs[i] = c.wrapTransport(m)
-	} else {
-		c.trs[i] = c.wrapTransport(c.hub.Endpoint(id))
-	}
-	if err := c.startNode(i, true); err != nil {
+	if err := c.reattach(i); err != nil {
 		return err
 	}
-	c.down[i] = false
 	mon := c.mons[i]
 
 	// Phase one: learn the current epoch before any epoch-tagged frame
@@ -1089,60 +941,8 @@ func (c *Cluster) Rejoin(i int) error {
 	}
 	mon.SetEpoch(ep)
 
-	// Rebuild the coherency working set. Survivor fences still drop
-	// this node's announcements (it is evicted until the ready Join),
-	// so both sides' mapping tables are seeded directly.
-	for _, seg := range c.segs {
-		c.nodes[i].AddSegment(seg)
-	}
-	regs := make([]RegionID, 0, len(c.regions))
-	for rid := range c.regions {
-		regs = append(regs, rid)
-	}
-	sort.Slice(regs, func(a, b int) bool { return regs[a] < regs[b] })
-	for _, rid := range regs {
-		if _, err := c.nodes[i].MapRegion(rid, c.regions[rid]); err != nil {
-			return err
-		}
-		for j := range c.ids {
-			if j == i || c.down[j] {
-				continue
-			}
-			c.nodes[i].NotePeerRegion(c.ids[j], rid)
-			c.nodes[j].NotePeerRegion(id, rid)
-		}
-	}
-
-	// Survivors may still route some locks to migrated homes (their
-	// overrides outlive an unrelated node's eviction); the rejoiner's
-	// fresh manager must learn them or it reclaims those roles by ring
-	// position.
-	c.reseedOverrides(i)
-
-	// Tokens this node once held were reclaimed by the survivors while
-	// it was dead: forfeit the fresh state's claim on home-managed locks
-	// and point their queues at the current holders. As in Restart, the
-	// tail repair lands here only when this node is the acting manager.
-	for _, lockID := range c.lockIDs() {
-		holder := -1
-		for j := range c.ids {
-			if j == i || c.down[j] {
-				continue
-			}
-			if c.nodes[j].Locks().HasToken(lockID) {
-				holder = j
-				break
-			}
-		}
-		if holder < 0 {
-			continue
-		}
-		if c.homeIndex(lockID) == i {
-			c.nodes[i].Locks().ForfeitToken(lockID)
-			if c.actingHomeIndex(lockID, -1) == i {
-				c.nodes[i].Locks().SetQueueTail(lockID, c.ids[holder])
-			}
-		}
+	if err := c.rebuildWorkingSet(i); err != nil {
+		return err
 	}
 
 	// Catch up from the server's logs to the cluster's current image.
@@ -1265,17 +1065,14 @@ func (c *Cluster) Close() error {
 			m.Close()
 		}
 	}
+	if c.hub != nil {
+		for _, id := range c.ids {
+			c.hub.Drop(id)
+		}
+	}
 	for _, cli := range c.clis {
 		if cli != nil {
 			cli.Close()
-		}
-	}
-	if c.qadmin != nil {
-		c.qadmin.Close()
-	}
-	for _, s := range c.qsrvs {
-		if s != nil {
-			s.Close()
 		}
 	}
 	if c.replica != nil {

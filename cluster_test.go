@@ -119,7 +119,38 @@ func TestClusterCloseStopsGoroutines(t *testing.T) {
 		}
 	}
 	c.Close()
+	awaitGoroutines(t, base)
+}
 
+// TestLocalClusterCloseStopsGoroutines: the default in-process cluster
+// leaves no goroutine behind once Close returns — in particular no
+// in-process endpoint's dispatch loop.
+func TestLocalClusterCloseStopsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := NewLocalCluster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MapAll(1, 4096); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	tx := c.Node(0).Begin(NoRestore)
+	tx.Acquire(0)
+	tx.Write(c.Node(0).RVM().Region(1), 0, []byte("x"))
+	if _, err := tx.Commit(Flush); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	c.Close()
+	awaitGoroutines(t, base)
+}
+
+// awaitGoroutines waits up to ten seconds for the goroutine count to
+// fall back to base, and fails with every goroutine's stack if it does
+// not.
+func awaitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {

@@ -13,11 +13,13 @@
 //
 // All three print the same final checksum.
 //
-// Passing a comma-separated list to -store attaches the node to a
-// majority-quorum replica set (internal/replstore) instead of a single
-// server; the listed addresses seed the current view:
+// Passing primary,backup to -store attaches the node to a mirrored
+// server pair (storeserver -mirror): the client fails over to the
+// backup when the primary dies.
 //
-//	lbcnode ... -store 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073
+//	storeserver -listen 127.0.0.1:7071 &
+//	storeserver -listen 127.0.0.1:7070 -mirror 127.0.0.1:7071 &
+//	lbcnode ... -store 127.0.0.1:7070,127.0.0.1:7071
 package main
 
 import (
@@ -37,10 +39,8 @@ import (
 	"lbc/internal/metrics"
 	"lbc/internal/netproto"
 	"lbc/internal/obs"
-	"lbc/internal/replstore"
 	"lbc/internal/rvm"
 	"lbc/internal/store"
-	"lbc/internal/wal"
 )
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 		nodeID    = flag.Uint("node", 0, "this node's id (required, unique)")
 		listen    = flag.String("listen", "", "mesh listen address (required)")
 		peersSpec = flag.String("peers", "", "peer list: id=addr,id=addr (required)")
-		storeAddr = flag.String("store", "", "storage server address, or comma-separated quorum replica addresses (required)")
+		storeAddr = flag.String("store", "", "storage server address, or primary,backup of a mirrored pair (required)")
 		region    = flag.Int("region", 1<<20, "shared region size in bytes")
 		locks     = flag.Int("locks", 4, "number of segment locks")
 		writes    = flag.Int("writes", 200, "locked writes to perform")
@@ -86,49 +86,22 @@ func main() {
 		tracer = obs.NewTracer(uint32(*nodeID), *traceCap)
 	}
 
-	// Single address: one storage server (possibly mirrored behind a
-	// failover pair). Several addresses: a majority-quorum replica set.
-	var (
-		data       rvm.DataStore
-		logDev     func(node uint32) wal.Device
-		storeStats *metrics.Stats
-		lagMax     func() int64
-	)
-	if storeAddrs := splitAddrs(*storeAddr); len(storeAddrs) > 1 {
-		qc, err := replstore.DialView(storeAddrs, replstore.Options{Trace: tracer})
-		if err != nil {
-			die(err)
-		}
-		defer qc.Close()
-		data = qc
-		logDev = qc.LogDevice
-		storeStats = qc.Stats()
-		lagMax = func() int64 {
-			var max int64
-			for _, l := range qc.Lag() {
-				if l > max {
-					max = l
-				}
-			}
-			return max
-		}
-		v := qc.View()
-		fmt.Printf("lbcnode %d: quorum store view epoch %d (%d replicas)\n",
-			*nodeID, v.Epoch, len(v.Members))
+	// One address: a single storage server. Two: a mirrored pair, with
+	// failover from the primary to the backup.
+	var cli *store.Client
+	if addrs := splitAddrs(*storeAddr); len(addrs) > 1 {
+		cli, err = store.DialFailover(addrs...)
 	} else {
-		cli, err := store.Dial(*storeAddr)
-		if err != nil {
-			die(err)
-		}
-		defer cli.Close()
-		data = cli
-		logDev = cli.LogDevice
-		storeStats = cli.Stats()
+		cli, err = store.Dial(*storeAddr)
 	}
+	if err != nil {
+		die(err)
+	}
+	defer cli.Close()
 	r, err := rvm.Open(rvm.Options{
 		Node:  uint32(*nodeID),
-		Log:   logDev(uint32(*nodeID)),
-		Data:  data,
+		Log:   cli.LogDevice(uint32(*nodeID)),
+		Data:  cli,
 		Trace: tracer,
 	})
 	if err != nil {
@@ -192,7 +165,7 @@ func main() {
 		Transport:       tr,
 		Nodes:           ids,
 		Propagation:     propagation,
-		PeerLogs:        func(node uint32) wal.Device { return logDev(node) },
+		PeerLogs:        cli.LogDevice,
 		InterestRouting: *interest,
 		Membership:      mon,
 	})
@@ -214,7 +187,7 @@ func main() {
 	if *debugAddr != "" {
 		mreg := obs.NewRegistry()
 		mreg.Register("rvm", r.Stats())
-		mreg.Register("store", storeStats)
+		mreg.Register("store", cli.Stats())
 		mreg.RegisterGauge("applier_parked", func() int64 { return int64(n.Parked()) })
 		mreg.RegisterGauge("apply_queue_depth", func() int64 { return n.ApplyQueueDepth() })
 		// Live wire compression ratio, scaled x1000 (gauges are integers):
@@ -226,9 +199,6 @@ func main() {
 			}
 			return r.Stats().Counter(metrics.CtrBytesSentRaw) * 1000 / wire
 		})
-		if lagMax != nil {
-			mreg.RegisterGauge("store_replica_lag_max", lagMax)
-		}
 		if mon != nil {
 			mreg.Register("membership", mstats)
 			mon.Export(mreg)

@@ -7,18 +7,15 @@
 // With -dir the images and logs persist on local disk; without it the
 // server is memory-backed (useful for experiments).
 //
-// A server can also run as one replica of a majority-quorum store
-// (internal/replstore). Start each replica plainly, then install the
-// first view from any one of them:
+// With -mirror the server is the primary of a mirrored pair: it
+// forwards every mutation to the backup at that address before it
+// acknowledges the client (§2's "transparently replicated" storage
+// service). Start the backup first; clients list both addresses and
+// fail over to the backup when the primary dies:
 //
 //	storeserver -listen 127.0.0.1:7071 &
-//	storeserver -listen 127.0.0.1:7072 &
-//	storeserver -listen 127.0.0.1:7073 -init-view 127.0.0.1:7071,127.0.0.1:7072,127.0.0.1:7073
-//
-// A later replacement joins an existing set — snapshot catch-up plus a
-// view change happen before it counts toward any quorum:
-//
-//	storeserver -listen 127.0.0.1:7074 -join 127.0.0.1:7071,127.0.0.1:7072
+//	storeserver -listen 127.0.0.1:7070 -mirror 127.0.0.1:7071
+//	lbcnode ... -store 127.0.0.1:7070,127.0.0.1:7071
 package main
 
 import (
@@ -28,12 +25,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"lbc/internal/obs"
-	"lbc/internal/replstore"
 	"lbc/internal/rvm"
 	"lbc/internal/store"
 	"lbc/internal/wal"
@@ -43,12 +38,8 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7070", "listen address")
 	dir := flag.String("dir", "", "persistence directory (empty = in-memory)")
 	debugAddr := flag.String("debug", "", "serve /debug/lbc (metrics, vars, pprof) on this address")
-	initView := flag.String("init-view", "", "comma-separated replica addresses (including this one): install the epoch-1 view across them")
-	join := flag.String("join", "", "comma-separated seed addresses of an existing replica set: catch up and join its view")
+	mirror := flag.String("mirror", "", "backup server address: mirror every mutation there before acknowledging it")
 	flag.Parse()
-	if *initView != "" && *join != "" {
-		die(fmt.Errorf("-init-view and -join are mutually exclusive"))
-	}
 
 	opts := store.ServerOptions{}
 	if *dir != "" {
@@ -65,55 +56,32 @@ func main() {
 			return wal.OpenFileDevice(filepath.Join(logDir, fmt.Sprintf("node-%d.log", node)))
 		}
 	}
+	// The backup link is dialed first, so the mirror is attached
+	// before clients can find the listener.
+	var link *store.Client
+	if *mirror != "" {
+		if err := retryFor(30*time.Second, func() (err error) {
+			link, err = store.Dial(*mirror)
+			return err
+		}); err != nil {
+			die(fmt.Errorf("mirror: %w", err))
+		}
+		defer link.Close()
+	}
 	srv, err := store.NewServer(*listen, opts)
 	if err != nil {
 		die(err)
 	}
+	if link != nil {
+		srv.Mirror(link)
+		fmt.Printf("storeserver: mirroring to %s\n", *mirror)
+	}
 	fmt.Printf("storeserver: listening on %s (dir=%q)\n", srv.Addr(), *dir)
-
-	if *initView != "" {
-		addrs := splitAddrs(*initView)
-		if err := retryFor(30*time.Second, func() error {
-			return replstore.Bootstrap(addrs)
-		}); err != nil {
-			die(fmt.Errorf("init-view: %w", err))
-		}
-		fmt.Printf("storeserver: installed view epoch 1 across %v\n", addrs)
-	}
-	if *join != "" {
-		seeds := splitAddrs(*join)
-		if err := retryFor(60*time.Second, func() error {
-			adm, err := replstore.DialView(seeds, replstore.Options{})
-			if err != nil {
-				return err
-			}
-			defer adm.Close()
-			return adm.AddReplica(srv.Addr())
-		}); err != nil {
-			die(fmt.Errorf("join: %w", err))
-		}
-		v, _ := srv.CurrentView()
-		fmt.Printf("storeserver: joined view epoch %d (%d members)\n", v.Epoch, len(v.Members))
-	}
 
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		reg.Register("store", srv.Stats())
 		reg.RegisterGauge("store_logs", func() int64 { return int64(len(srv.Logs())) })
-		reg.RegisterGauge("store_view_epoch", func() int64 {
-			v, err := srv.CurrentView()
-			if err != nil {
-				return -1
-			}
-			return int64(v.Epoch)
-		})
-		reg.RegisterGauge("store_view_members", func() int64 {
-			v, err := srv.CurrentView()
-			if err != nil {
-				return -1
-			}
-			return int64(len(v.Members))
-		})
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, obs.Handler(reg, nil)); err != nil {
 				fmt.Fprintln(os.Stderr, "storeserver: debug server:", err)
@@ -129,19 +97,9 @@ func main() {
 	srv.Close()
 }
 
-func splitAddrs(spec string) []string {
-	var out []string
-	for _, a := range strings.Split(spec, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// retryFor retries fn until it succeeds or the window elapses —
-// replica sets come up one process at a time, so the first attempts
-// race the other replicas' listeners.
+// retryFor retries fn until it succeeds or the window elapses — the
+// two servers of a pair come up one process at a time, so the first
+// attempts may race the backup's listener.
 func retryFor(window time.Duration, fn func() error) error {
 	deadline := time.Now().Add(window)
 	for {

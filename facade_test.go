@@ -34,8 +34,12 @@ func TestPiggybackOption(t *testing.T) {
 	}
 }
 
+// TestReplicatedStoreOption: under WithReplicatedStore every commit is
+// mirrored to the backup, and the nodes' store clients fail over to it
+// when the primary dies, so commits continue and the backup alone
+// recovers every record.
 func TestReplicatedStoreOption(t *testing.T) {
-	cluster, err := NewLocalCluster(2, WithReplicatedStore())
+	cluster, err := NewLocalCluster(2, WithReplicatedStore(), WithSeedImage(2, []byte("seed")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,17 +48,24 @@ func TestReplicatedStoreOption(t *testing.T) {
 	cluster.Barrier(1)
 
 	a := cluster.Node(0)
-	tx := a.Begin(NoRestore)
-	tx.Acquire(0)
-	tx.Write(a.RVM().Region(1), 0, []byte("mirrored"))
-	if _, err := tx.Commit(Flush); err != nil {
-		t.Fatal(err)
+	commit := func(off uint64, data string) {
+		t.Helper()
+		tx := a.Begin(NoRestore)
+		tx.Acquire(0)
+		tx.Write(a.RVM().Region(1), off, []byte(data))
+		if _, err := tx.Commit(Flush); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The backup holds the log too; recover from it.
+	commit(0, "mirrored")
 	backup := cluster.StoreBackup()
 	if backup == nil {
 		t.Fatal("no backup server")
 	}
+	cluster.replica.FailPrimary()
+	commit(8, "failover")
+
+	// The backup holds the whole log; recover from it.
 	dev, err := backup.Log(1)
 	if err != nil {
 		t.Fatal(err)
@@ -63,15 +74,18 @@ func TestReplicatedStoreOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != 1 {
-		t.Fatalf("backup recovered %d records", res.Records)
+	if res.Records != 2 {
+		t.Fatalf("backup recovered %d records, want 2", res.Records)
 	}
 	img, err := backup.Data().LoadRegion(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(img[:8]) != "mirrored" {
-		t.Fatalf("backup image = %q", img[:8])
+	if string(img[:16]) != "mirroredfailover" {
+		t.Fatalf("backup image = %q", img[:16])
+	}
+	if seed, err := backup.Data().LoadRegion(2); err != nil || string(seed) != "seed" {
+		t.Fatalf("backup seed image = %q, %v", seed, err)
 	}
 }
 

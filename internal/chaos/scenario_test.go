@@ -75,23 +75,6 @@ func TestEvictRejoinScenario(t *testing.T) {
 	}
 }
 
-func TestStoreQuorumFailoverScenario(t *testing.T) {
-	rep := runTwice(t, "store-quorum-failover", 42)
-	if rep.Records != rep.Commits {
-		t.Errorf("records %d != commits %d: replica failover lost acknowledged writes",
-			rep.Records, rep.Commits)
-	}
-	if rep.Faults["replica_kills"] == 0 {
-		t.Error("no replica was killed; scenario is not exercising failover")
-	}
-	if rep.Faults["view_changes"] == 0 {
-		t.Error("replacement did not go through a view change")
-	}
-	if rep.Faults["catchup_bytes"] == 0 {
-		t.Error("replacement joined without a snapshot/log-tail transfer")
-	}
-}
-
 func TestMigrateEvictScenario(t *testing.T) {
 	rep := runTwice(t, "migrate-evict", 42)
 	if rep.Records != rep.Commits {

@@ -49,10 +49,7 @@ type FaultyStore struct {
 	rng   *rand.Rand
 }
 
-var (
-	_ rvm.DataStore = (*FaultyStore)(nil)
-	_ rvm.PageStore = (*FaultyStore)(nil)
-)
+var _ rvm.DataStore = (*FaultyStore)(nil)
 
 // WrapDataStore attaches the injector to a data store. name keys the
 // fault stream — use one name per node so streams are independent.
@@ -76,15 +73,14 @@ func (f *FaultyStore) StoreRegion(id uint32, data []byte) error {
 	return f.inner.StoreRegion(id, data)
 }
 
-// StorePages implements rvm.PageStore, so a checkpoint under fault
-// injection sweeps the way it does without: an inner store that writes
-// pages in place still does, and one that cannot still gets the
-// whole-image rewrite.
+// StorePages implements rvm.DataStore, so a checkpoint under fault
+// injection sweeps the way it does without: page writes reach the inner
+// store as page writes.
 func (f *FaultyStore) StorePages(id uint32, pages []rvm.PageWrite) error {
 	if err := f.in.storeFault(f.rng, "StorePages"); err != nil {
 		return err
 	}
-	return rvm.StorePages(f.inner, id, pages)
+	return f.inner.StorePages(id, pages)
 }
 
 // Regions implements rvm.DataStore.

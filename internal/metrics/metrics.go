@@ -397,18 +397,6 @@ const (
 	CtrCkptErrors     = "checkpoint_errors"      // checkpoint steps that failed (peer or coordinator)
 	CtrPullRescans    = "pull_rescans"           // lazy pulls restarted from the head after a trim
 
-	// Quorum-replicated store (internal/replstore).
-	CtrStoreQuorumWrites  = "store_quorum_writes"       // region/log writes acked by a majority
-	CtrStoreQuorumReads   = "store_quorum_reads"        // version-validated quorum reads
-	CtrStoreReadFast      = "store_quorum_read_fast"    // reads satisfied by the preferred replica
-	CtrStoreReadRepairs   = "store_read_repairs"        // stale region copies rewritten after a read
-	CtrStoreLogRepairs    = "store_log_repairs"         // behind replica log tails re-copied
-	CtrStoreQuorumRetries = "store_quorum_retries"      // quorum rounds retried after losing a majority
-	CtrStoreViewChanges   = "store_view_changes"        // reconfigurations installed (epoch bumps)
-	CtrStoreViewRefreshes = "store_view_refreshes"      // view re-reads from the replica set
-	CtrStoreCatchupBytes  = "store_catchup_bytes"       // snapshot + log-tail bytes shipped to joiners
-	CtrStoreReplicaBehind = "store_replica_behind_acks" // append acks reporting a behind replica
-
 	// Sharded coherency plane: lock-home migration and interest routing.
 	CtrLockMigrations        = "lock_home_migrations"         // fenced home handoffs completed (old-home side)
 	CtrLockMigrationsAborted = "lock_home_migrations_aborted" // handoffs abandoned (refused, or target evicted)
@@ -441,16 +429,12 @@ const (
 	HistLockWaitNS   = "lock_wait_hist_ns" // per-acquire lock wait
 	HistApplyNS      = "apply_ns"          // per-record install latency
 
-	// Storage-service latency (internal/store client + server) and
-	// quorum round trips (internal/replstore).
-	HistStoreReadNS       = "store_read_ns"           // client-observed read op latency
-	HistStoreWriteNS      = "store_write_ns"          // client-observed write op latency
-	HistStoreDialNS       = "store_dial_ns"           // client dial latency (incl. failover walks)
-	HistStoreServeReadNS  = "store_serve_read_ns"     // server-side read op handling
-	HistStoreServeWriteNS = "store_serve_write_ns"    // server-side write op handling
-	HistQuorumWriteNS     = "store_quorum_write_ns"   // full quorum write round trip
-	HistQuorumReadNS      = "store_quorum_read_ns"    // full quorum read round trip
-	HistReplicaLagBytes   = "store_replica_lag_bytes" // per-sample log-size gap behind the freshest replica
+	// Storage-service latency (internal/store client + server).
+	HistStoreReadNS       = "store_read_ns"        // client-observed read op latency
+	HistStoreWriteNS      = "store_write_ns"       // client-observed write op latency
+	HistStoreDialNS       = "store_dial_ns"        // client dial latency (incl. failover walks)
+	HistStoreServeReadNS  = "store_serve_read_ns"  // server-side read op handling
+	HistStoreServeWriteNS = "store_serve_write_ns" // server-side write op handling
 
 	// Per-peer flow control (coherency batcher).
 	HistSendStallNS = "send_stall_ns" // time an enqueue spent blocked on a peer's window
@@ -494,10 +478,6 @@ var fixedIdx = buildIndex([]string{
 	CtrCkptSizeErrors, CtrCkptSweepPages, CtrCkptDirtyPages,
 	CtrCkptSweepBytes, CtrCkptQuiesceNS,
 	CtrCkptMarkers, CtrLogTrims, CtrCkptErrors, CtrPullRescans,
-	CtrStoreQuorumWrites, CtrStoreQuorumReads, CtrStoreReadFast,
-	CtrStoreReadRepairs, CtrStoreLogRepairs, CtrStoreQuorumRetries,
-	CtrStoreViewChanges, CtrStoreViewRefreshes, CtrStoreCatchupBytes,
-	CtrStoreReplicaBehind,
 	CtrLockMigrations, CtrLockMigrationsAborted, CtrLockMigrationRetries,
 	CtrInterestRegs, CtrUpdateFramesRecv,
 	CtrBytesSentRaw, CtrCompressedFrames, CtrCompressSkips, CtrFramesDeflated,
@@ -509,7 +489,6 @@ var fixedHistIdx = buildIndex([]string{
 	HistFsyncNS, HistBatchRecords, HistLockWaitNS, HistApplyNS,
 	HistStoreReadNS, HistStoreWriteNS, HistStoreDialNS,
 	HistStoreServeReadNS, HistStoreServeWriteNS,
-	HistQuorumWriteNS, HistQuorumReadNS, HistReplicaLagBytes,
 	HistSendStallNS,
 }, maxFixedHists)
 

@@ -61,11 +61,6 @@ const (
 	SpanRejoin  = "member.rejoin"      // evicted peer readmitted
 	SpanReclaim = "lock.token_reclaim" // lost token re-minted by its manager
 
-	// Quorum-replicated store spans (internal/replstore).
-	SpanQuorumWrite = "store.quorum_write" // one majority-acked write round
-	SpanCatchup     = "store.catchup"      // snapshot + log-tail transfer to a joiner
-	SpanViewChange  = "store.view_change"  // reconfiguration installed through both majorities
-
 	// Coordinated-checkpoint spans (coherency.CoordinatedCheckpoint),
 	// emitted by the coordinator with Node = its id and Tx = the
 	// checkpoint epoch. ckpt.quiesce is the window in which commits can

@@ -23,6 +23,13 @@ type DataStore interface {
 	// StoreRegion replaces the region's permanent image (checkpoint /
 	// recovery writeback).
 	StoreRegion(id uint32, data []byte) error
+	// StorePages writes pages of a region image in place, growing the
+	// image as needed (the incremental checkpoint's sweep). The writes
+	// apply in order (a later write to the same bytes wins) but not
+	// atomically: a crash mid-batch leaves a prefix applied, which
+	// replay from the previous checkpoint repairs. A single page is a
+	// batch of one.
+	StorePages(id uint32, pages []PageWrite) error
 	// Regions lists the ids of stored regions.
 	Regions() ([]uint32, error)
 	// Sync forces stored images to durable media.
@@ -62,7 +69,7 @@ func (s *MemStore) StoreRegion(id uint32, data []byte) error {
 	return nil
 }
 
-// StorePages implements PageStore: the writes land in place, in order,
+// StorePages implements DataStore: the writes land in place, in order,
 // growing the image once to the furthest byte any of them reaches.
 func (s *MemStore) StorePages(id uint32, pages []PageWrite) error {
 	need, err := pagesExtent(pages)
@@ -141,7 +148,7 @@ func (s *DirStore) StoreRegion(id uint32, data []byte) error {
 	return os.Rename(tmp, s.regionPath(id))
 }
 
-// StorePages implements PageStore: page writes go straight into the
+// StorePages implements DataStore: page writes go straight into the
 // image file with WriteAt, forced once per batch. In-place page writes
 // are safe here because the log head is trimmed only after a full sweep
 // completes, so a crash mid-page is always repaired by replay.

@@ -39,15 +39,6 @@ type PageWrite struct {
 	Data []byte
 }
 
-// PageStore is an optional DataStore extension for writing pages of a
-// region image in place, growing the image as needed. StorePages applies
-// its writes in order (a later write to the same bytes wins) but not
-// atomically: a crash mid-batch leaves a prefix applied, which replay
-// from the previous checkpoint repairs. A single page is a batch of one.
-type PageStore interface {
-	StorePages(id uint32, pages []PageWrite) error
-}
-
 // pagesExtent returns the furthest image byte a batch reaches, rejecting
 // negative and overflowing offsets.
 func pagesExtent(pages []PageWrite) (int64, error) {
@@ -183,35 +174,6 @@ func (r *RVM) NewIncrementalCheckpointer(pageSize int) *IncrementalCheckpointer 
 	return &IncrementalCheckpointer{r: r, pageSize: pageSize}
 }
 
-// StorePages writes a batch of pages of one region image to ds. Every
-// store that can write in place takes the vectored path; the whole-image
-// read-modify-write below remains for replstore alone, whose versioned
-// region writes cannot be partial (a page written under a new version
-// tag to a replica that missed the previous write would leave a newer
-// tag over stale pages, and read-repair would spread them).
-func StorePages(ds DataStore, id uint32, pages []PageWrite) error {
-	if ps, ok := ds.(PageStore); ok {
-		return ps.StorePages(id, pages)
-	}
-	need, err := pagesExtent(pages)
-	if err != nil {
-		return err
-	}
-	img, err := ds.LoadRegion(id)
-	if err != nil && !errors.Is(err, ErrNoRegion) {
-		return err
-	}
-	if int64(len(img)) < need {
-		grown := make([]byte, need)
-		copy(grown, img)
-		img = grown
-	}
-	for _, p := range pages {
-		copy(img[p.Off:], p.Data)
-	}
-	return ds.StoreRegion(id, img)
-}
-
 // writeLoop is the sweep's single writer: it stores batches in arrival
 // order, recycles their buffers, and after a failed write drops the rest
 // (the sweep is lost; the next barrier reports why).
@@ -220,7 +182,7 @@ func (c *IncrementalCheckpointer) writeLoop() {
 	var failed error
 	for b := range c.batches {
 		if failed == nil && len(b.pages) > 0 {
-			failed = StorePages(c.r.data, b.region, b.pages)
+			failed = c.r.data.StorePages(b.region, b.pages)
 		}
 		for _, buf := range b.bufs {
 			bufpool.Put(buf)

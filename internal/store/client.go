@@ -12,14 +12,14 @@ import (
 	"sync"
 	"time"
 
+	"lbc/internal/bufpool"
 	"lbc/internal/metrics"
 	"lbc/internal/rvm"
 	"lbc/internal/wal"
 )
 
-// Client talks to a storage Server. It implements rvm.DataStore and
-// rvm.PageStore directly, and LogDevice returns a wal.Device view of one
-// node's log
+// Client talks to a storage Server. It implements rvm.DataStore
+// directly, and LogDevice returns a wal.Device view of one node's log
 // on the server. A Client serializes its requests over a single TCP
 // connection, like a single NFS mount in the prototype.
 //
@@ -41,10 +41,7 @@ type Client struct {
 	rng   *rand.Rand // failover backoff jitter; guarded by mu
 }
 
-var (
-	_ rvm.DataStore = (*Client)(nil)
-	_ rvm.PageStore = (*Client)(nil)
-)
+var _ rvm.DataStore = (*Client)(nil)
 
 const (
 	dialTimeout = 2 * time.Second
@@ -230,7 +227,7 @@ func (c *Client) StoreRegion(id uint32, data []byte) error {
 	return err
 }
 
-// StorePages implements rvm.PageStore: the whole batch travels in one
+// StorePages implements rvm.DataStore: the whole batch travels in one
 // request, so a checkpoint sweep costs round trips per batch, not per
 // page — and never a read of the image it is updating.
 func (c *Client) StorePages(id uint32, pages []rvm.PageWrite) error {
@@ -260,6 +257,30 @@ func (c *Client) Logs() ([]uint32, error) {
 		return nil, err
 	}
 	return decodeIDs(resp)
+}
+
+// AppendLogAt appends data to node's log iff the log is exactly
+// expected bytes long (see handleAppendLogAt for the dup/torn-tail
+// cases). Returns the log size after the append. A log missing the
+// prefix yields a *BehindError carrying its current size.
+func (c *Client) AppendLogAt(node uint32, expected int64, data []byte) (int64, error) {
+	req := bufpool.Get(12 + len(data))[:12+len(data)]
+	defer bufpool.Put(req)
+	binary.LittleEndian.PutUint32(req, node)
+	binary.LittleEndian.PutUint64(req[4:], uint64(expected))
+	copy(req[12:], data)
+	resp, err := c.call(opAppendLogAt, req)
+	if err != nil {
+		var behind *BehindError
+		if errors.As(err, &behind) {
+			behind.Node = node
+		}
+		return 0, err
+	}
+	if len(resp) != 8 {
+		return 0, errors.New("store: bad AppendLogAt response")
+	}
+	return int64(binary.LittleEndian.Uint64(resp)), nil
 }
 
 // LogDevice returns a wal.Device backed by node's log on the server.

@@ -14,8 +14,8 @@ type DialAttempt struct {
 
 // DialError aggregates a whole failed failover walk: every address
 // tried and the error each produced, instead of only the last dial
-// error. Callers debugging a quorum outage can see at a glance which
-// replicas were unreachable and why.
+// error. Callers debugging a store outage can see at a glance which
+// servers were unreachable and why.
 type DialError struct {
 	Op       string // operation being attempted ("dial" for initial connect)
 	Attempts []DialAttempt
@@ -43,10 +43,9 @@ func (e *DialError) Unwrap() error {
 	return e.Attempts[len(e.Attempts)-1].Err
 }
 
-// BehindError is returned by AppendLogAt when the replica's log is
-// shorter than the expected offset: it is missing a prefix and must be
-// caught up (the gap copied from a fresh replica) before it can accept
-// the record. Size is the replica's current log size.
+// BehindError is returned by AppendLogAt when the server's log is
+// shorter than the expected offset: it is missing a prefix and cannot
+// accept the record there. Size is the log's current size.
 type BehindError struct {
 	Node uint32
 	Size int64

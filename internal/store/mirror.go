@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -93,13 +92,4 @@ func (p *ReplicaPair) Close() {
 	p.link.Close()
 	p.Primary.Close()
 	p.Backup.Close()
-}
-
-// encodeLogReq builds a {node u32}-prefixed request body (helper for
-// tests exercising mirror behaviour directly).
-func encodeLogReq(node uint32, extra []byte) []byte {
-	b := make([]byte, 4+len(extra))
-	binary.LittleEndian.PutUint32(b, node)
-	copy(b[4:], extra)
-	return b
 }

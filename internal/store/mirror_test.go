@@ -127,13 +127,6 @@ func TestMirrorErrorSurfacesToClient(t *testing.T) {
 	}
 }
 
-func TestEncodeLogReq(t *testing.T) {
-	b := encodeLogReq(7, []byte("xy"))
-	if len(b) != 6 || b[0] != 7 || string(b[4:]) != "xy" {
-		t.Fatalf("encodeLogReq = %v", b)
-	}
-}
-
 func TestMirrorMissingRegionStillErrors(t *testing.T) {
 	_, cli := newPairWithMirror(t)
 	if _, err := cli.LoadRegion(42); !errors.Is(err, rvm.ErrNoRegion) {

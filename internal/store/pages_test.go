@@ -88,7 +88,6 @@ func TestStorePagesRejectsHostileRequests(t *testing.T) {
 		"grows past the image cap":  pagesBody(1, pagesEntry(maxImage-1, 4, []byte("data"))),
 		"offset at the cap":         pagesBody(1, pagesEntry(maxImage+1, 0, nil)),
 		"second entry bad":          pagesBody(1, pagesEntry(0, 4, []byte("good")), pagesEntry(maxImage, 1, []byte("x"))),
-		"reserved region":           pagesBody(metaRegionVersions, pagesEntry(0, 4, []byte("data"))),
 	}
 	for name, body := range cases {
 		if _, err := srv.handle(opStorePages, body); err == nil {

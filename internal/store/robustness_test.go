@@ -150,8 +150,8 @@ func tornProxy(t *testing.T, target string, fullExchanges int) string {
 // (from the client's perspective) before acking. The failover client
 // retries the append against the server directly; the offset-guarded
 // protocol must ack idempotently, leaving exactly one copy of the
-// record. This semantics gap is load-bearing under quorum writes,
-// where a retried append races its own first delivery.
+// record. A mirrored pair relies on the same: after a failover the
+// retried append meets the copy the primary already forwarded.
 func TestTornWriteThenReconnect(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerOptions{})
 	if err != nil {

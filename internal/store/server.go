@@ -27,39 +27,30 @@ import (
 	"lbc/internal/wal"
 )
 
-// Request/response opcodes.
+// Request/response opcodes. The values are wire codes; retired codes
+// (5, 12-14 and 16-19) are not reused.
 const (
-	opLoadRegion uint8 = iota + 1
-	opStoreRegion
-	opListRegions
-	opSyncData
-	opAppendLog
-	opSyncLog
-	opLogSize
-	opReadLog
-	opTruncateLog
-	opResetLog
-	opListLogs
+	opLoadRegion  uint8 = 1
+	opStoreRegion uint8 = 2
+	opListRegions uint8 = 3
+	opSyncData    uint8 = 4
+	opSyncLog     uint8 = 6
+	opLogSize     uint8 = 7
+	opReadLog     uint8 = 8
+	opTruncateLog uint8 = 9
+	opResetLog    uint8 = 10
+	opListLogs    uint8 = 11
+	opAppendLogAt uint8 = 15 // {node u32, expected u64, data} -> {newSize u64} | behind{size u64}
 
-	// Quorum-replication protocol (see versioned.go / internal/replstore).
-	opReadVersioned  // {region u32} -> {ver u64, data}
-	opWriteVersioned // {region u32, ver u64, data} -> {cur u64}
-	opVersionOf      // {region u32} -> {ver u64}
-	opAppendLogAt    // {node u32, expected u64, data} -> {newSize u64} | behind{size u64}
-	opGetView        // {} -> {view}
-	opSetView        // {view} -> {view}
-	opLogStat        // {} -> {n u32, (node u32, size u64)*}
-	opReadLogRange   // {node u32, from u64, n u64} -> data (at most n bytes)
-
-	// Page-granular image writes (rvm.PageStore): the incremental
-	// checkpoint's sweep. A single page is a batch of one.
-	opStorePages // {region u32, (off u64, len u32, bytes)*} -> {}
+	// Page-granular image writes (rvm.DataStore.StorePages): the
+	// incremental checkpoint's sweep. A single page is a batch of one.
+	opStorePages uint8 = 20 // {region u32, (off u64, len u32, bytes)*} -> {}
 )
 
 const (
 	statusOK     uint8 = 0
 	statusErr    uint8 = 1
-	statusBehind uint8 = 2 // AppendLogAt against a replica missing the prefix
+	statusBehind uint8 = 2 // AppendLogAt against a log missing the prefix
 )
 
 const maxMsg = 1 << 30
@@ -84,8 +75,10 @@ type Server struct {
 	closed  chan struct{}
 	closeMu sync.Once
 
+	logOpMu sync.Mutex
+	logOps  map[uint32]*sync.Mutex
+
 	mirrorState
-	versionedState
 }
 
 // ServerOptions configures a Server.
@@ -260,8 +253,6 @@ func opCounter(op uint8) string {
 		return "op_list_regions"
 	case opSyncData:
 		return "op_sync_data"
-	case opAppendLog:
-		return "op_append_log"
 	case opSyncLog:
 		return "op_sync_log"
 	case opLogSize:
@@ -274,22 +265,8 @@ func opCounter(op uint8) string {
 		return "op_reset_log"
 	case opListLogs:
 		return "op_list_logs"
-	case opReadVersioned:
-		return "op_read_versioned"
-	case opWriteVersioned:
-		return "op_write_versioned"
-	case opVersionOf:
-		return "op_version_of"
 	case opAppendLogAt:
 		return "op_append_log_at"
-	case opGetView:
-		return "op_get_view"
-	case opSetView:
-		return "op_set_view"
-	case opLogStat:
-		return "op_log_stat"
-	case opReadLogRange:
-		return "op_read_log_range"
 	case opStorePages:
 		return "op_store_pages"
 	default:
@@ -300,8 +277,8 @@ func opCounter(op uint8) string {
 // isWriteOp classifies an opcode for the serve-latency histograms.
 func isWriteOp(op uint8) bool {
 	switch op {
-	case opStoreRegion, opSyncData, opAppendLog, opSyncLog, opTruncateLog,
-		opResetLog, opWriteVersioned, opAppendLogAt, opSetView, opStorePages:
+	case opStoreRegion, opSyncData, opSyncLog, opTruncateLog, opResetLog,
+		opAppendLogAt, opStorePages:
 		return true
 	}
 	return false
@@ -334,37 +311,17 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		}
 		// Image bytes written; not an op_* name, which count requests.
 		s.stats.Add("store_pages_bytes", int64(len(body)-4-12*len(pages)))
-		return nil, rvm.StorePages(s.data, id, pages)
+		return nil, s.data.StorePages(id, pages)
 
 	case opListRegions:
 		ids, err := s.data.Regions()
 		if err != nil {
 			return nil, err
 		}
-		return encodeIDs(filterMeta(ids)), nil
+		return encodeIDs(ids), nil
 
 	case opSyncData:
 		return nil, s.data.Sync()
-
-	case opAppendLog:
-		if len(body) < 4 {
-			return nil, errors.New("store: bad AppendLog request")
-		}
-		node := binary.LittleEndian.Uint32(body)
-		dev, err := s.Log(node)
-		if err != nil {
-			return nil, err
-		}
-		mu := s.logOpLock(node)
-		mu.Lock()
-		defer mu.Unlock()
-		off, err := dev.Append(body[4:])
-		if err != nil {
-			return nil, err
-		}
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], uint64(off))
-		return out[:], nil
 
 	case opSyncLog:
 		if len(body) != 4 {
@@ -400,7 +357,7 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return readLog(dev, int64(binary.LittleEndian.Uint64(body[4:])), -1)
+		return readLog(dev, int64(binary.LittleEndian.Uint64(body[4:])))
 
 	case opTruncateLog:
 		if len(body) != 12 {
@@ -437,44 +394,128 @@ func (s *Server) handle(op uint8, body []byte) ([]byte, error) {
 	case opListLogs:
 		return encodeIDs(s.Logs()), nil
 
-	case opReadVersioned:
-		return s.handleReadVersioned(body)
-
-	case opWriteVersioned:
-		return s.handleWriteVersioned(body)
-
-	case opVersionOf:
-		return s.handleVersionOf(body)
-
 	case opAppendLogAt:
 		return s.handleAppendLogAt(body)
-
-	case opGetView:
-		return s.handleGetView()
-
-	case opSetView:
-		return s.handleSetView(body)
-
-	case opLogStat:
-		return s.handleLogStat()
-
-	case opReadLogRange:
-		if len(body) != 20 {
-			return nil, errors.New("store: bad ReadLogRange request")
-		}
-		n := int64(binary.LittleEndian.Uint64(body[12:]))
-		if n < 0 || n > maxMsg {
-			return nil, fmt.Errorf("store: ReadLogRange length %d out of range", n)
-		}
-		dev, err := s.Log(binary.LittleEndian.Uint32(body))
-		if err != nil {
-			return nil, err
-		}
-		return readLog(dev, int64(binary.LittleEndian.Uint64(body[4:])), n)
 
 	default:
 		return nil, fmt.Errorf("store: unknown op %d", op)
 	}
+}
+
+// logOpLock returns the mutex serializing mutations of one node's log.
+// Log ops from different connections run on different goroutines; the
+// offset-guard handler reads the size and then mutates, so the check and
+// the mutation must be atomic per log or two racing appends could both
+// pass the same guard.
+func (s *Server) logOpLock(node uint32) *sync.Mutex {
+	s.logOpMu.Lock()
+	defer s.logOpMu.Unlock()
+	if s.logOps == nil {
+		s.logOps = map[uint32]*sync.Mutex{}
+	}
+	m := s.logOps[node]
+	if m == nil {
+		m = &sync.Mutex{}
+		s.logOps[node] = m
+	}
+	return m
+}
+
+// logBehind reports an AppendLogAt whose expected offset lies beyond
+// the log's end: the log is missing a prefix and cannot accept the
+// record. serveConn turns it into a statusBehind response instead of a
+// plain error.
+type logBehind struct{ size int64 }
+
+func (e *logBehind) Error() string {
+	return fmt.Sprintf("store: log behind, size %d", e.size)
+}
+
+// handleAppendLogAt serves {node u32, expected u64, data} ->
+// {newSize u64}. The append applies only at the expected offset:
+//   - size == expected: plain append.
+//   - size >= expected+len: possible duplicate — the existing bytes at
+//     [expected, expected+len) are compared; identical content acks
+//     idempotently (a retry after a lost ack, or a failover to a mirror
+//     that already applied the forwarded copy), divergent content is
+//     truncated away and overwritten with the new record.
+//   - expected < size < expected+len: torn or divergent tail —
+//     truncated to expected, then appended.
+//   - size < expected: the log is behind; statusBehind carries its
+//     current size so the client can re-home its append offset.
+func (s *Server) handleAppendLogAt(body []byte) ([]byte, error) {
+	if len(body) < 12 {
+		return nil, errors.New("store: bad AppendLogAt request")
+	}
+	node := binary.LittleEndian.Uint32(body)
+	expected := int64(binary.LittleEndian.Uint64(body[4:]))
+	data := body[12:]
+	dev, err := s.Log(node)
+	if err != nil {
+		return nil, err
+	}
+	mu := s.logOpLock(node)
+	mu.Lock()
+	defer mu.Unlock()
+	size, err := dev.Size()
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case size < expected:
+		return nil, &logBehind{size: size}
+
+	case size == expected:
+		// Plain append at the tail.
+
+	case size >= expected+int64(len(data)):
+		same, err := tailEquals(dev, expected, data)
+		if err != nil {
+			return nil, err
+		}
+		if same {
+			var out [8]byte
+			binary.LittleEndian.PutUint64(out[:], uint64(size))
+			return out[:], nil
+		}
+		if err := dev.Truncate(expected); err != nil {
+			return nil, err
+		}
+
+	default: // expected < size < expected+len: torn tail
+		if err := dev.Truncate(expected); err != nil {
+			return nil, err
+		}
+	}
+	off, err := dev.Append(data)
+	if err != nil {
+		return nil, err
+	}
+	var out [8]byte
+	binary.LittleEndian.PutUint64(out[:], uint64(off)+uint64(len(data)))
+	return out[:], nil
+}
+
+// tailEquals reports whether the device holds exactly data at
+// [off, off+len(data)).
+func tailEquals(dev interface {
+	Open(from int64) (io.ReadCloser, error)
+}, off int64, data []byte) (bool, error) {
+	rc, err := dev.Open(off)
+	if err != nil {
+		return false, err
+	}
+	defer rc.Close()
+	buf := make([]byte, len(data))
+	if _, err := io.ReadFull(rc, buf); err != nil {
+		return false, err
+	}
+	for i := range buf {
+		if buf[i] != data[i] {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // encodeStorePages builds an opStorePages body: the region id, then one
@@ -505,9 +546,6 @@ func decodeStorePages(body []byte) (uint32, []rvm.PageWrite, error) {
 		return 0, nil, errors.New("store: bad StorePages request")
 	}
 	id := binary.LittleEndian.Uint32(body)
-	if id >= metaRegionMin {
-		return 0, nil, fmt.Errorf("store: region %d is reserved", id)
-	}
 	var pages []rvm.PageWrite
 	for rest := body[4:]; len(rest) > 0; {
 		if len(rest) < 12 {
@@ -580,13 +618,13 @@ func readMsg(r io.Reader) ([]byte, error) {
 	return b, nil
 }
 
-// readLog returns node log bytes from offset from on, at most limit of
-// them (limit < 0: to the end). An in-memory log (wal.MemDevice, an
-// io.ReaderAt) is copied once into an exactly sized buffer; its Open
-// would copy the whole tail first. A file log (wal.FileDevice) streams
-// through Open, which reads its own file handle and takes no device
-// lock, so a long read does not hold up that node's appends and syncs.
-func readLog(dev wal.Device, from, limit int64) ([]byte, error) {
+// readLog returns node log bytes from offset from on. An in-memory log
+// (wal.MemDevice, an io.ReaderAt) is copied once into an exactly sized
+// buffer; its Open would copy the whole tail first. A file log
+// (wal.FileDevice) streams through Open, which reads its own file handle
+// and takes no device lock, so a long read does not hold up that node's
+// appends and syncs.
+func readLog(dev wal.Device, from int64) ([]byte, error) {
 	ra, ok := dev.(io.ReaderAt)
 	if !ok {
 		rc, err := dev.Open(from)
@@ -594,15 +632,7 @@ func readLog(dev wal.Device, from, limit int64) ([]byte, error) {
 			return nil, err
 		}
 		defer rc.Close()
-		if limit < 0 {
-			return io.ReadAll(rc)
-		}
-		buf := make([]byte, limit)
-		k, err := io.ReadFull(rc, buf)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return nil, err
-		}
-		return buf[:k], nil
+		return io.ReadAll(rc)
 	}
 	size, err := dev.Size()
 	if err != nil {
@@ -611,11 +641,7 @@ func readLog(dev wal.Device, from, limit int64) ([]byte, error) {
 	if from < 0 || from > size {
 		return nil, fmt.Errorf("store: offset %d beyond log end %d", from, size)
 	}
-	n := size - from
-	if limit >= 0 && n > limit {
-		n = limit
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, size-from)
 	k, err := ra.ReadAt(buf, from)
 	if err != nil && err != io.EOF {
 		return nil, err

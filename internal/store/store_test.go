@@ -224,9 +224,6 @@ func TestServerWithDirBackends(t *testing.T) {
 	if string(tail) != "bytes" {
 		t.Fatalf("file log tail: %q", tail)
 	}
-	if got, err := cli.ReadLogRange(1, 4, 3); err != nil || string(got) != "byt" {
-		t.Fatalf("file log range: %q, %v", got, err)
-	}
 	img, err := cli.LoadRegion(1)
 	if err != nil || string(img) != "on disk" {
 		t.Fatalf("load: %q, %v", img, err)
